@@ -8,13 +8,25 @@ each coefficient block depends only on ``f`` restricted to its own cell.
 Quadrature
 ----------
 Coefficients are per-cell integrals of ``f`` against the cell basis, computed
-by adaptive Gauss bisection to a caller-visible tolerance.  Cells containing
-a declared singular point are handled by geometric subdivision toward the
-singularity (ratio one half), summing panel integrals until the increment
-drops below the tolerance; the integrand is only ever evaluated on open
-subintervals, never at a declared singular point.  Either scheme raises
-:class:`~ultracalc.errors.QuadratureError` with the cell index after 60
-subdivisions without convergence.
+by adaptive Gauss bisection to a caller-visible tolerance.  Every operation
+(projection, pairing with a member, L2 error) is one array integrand
+``integrand(cells, x, f(x))`` handed to a single engine.
+
+A first pass covers all cells, 64 at a time: the points of the whole-cell
+panel and of both half-cell panels of every cell in the chunk form one array,
+``f`` is called on them one scalar point at a time, and the cell basis is
+evaluated on all of them at once.  A cell whose two halves agree with its
+whole panel to within the tolerance is done.  Only the cells that fail are
+bisected further; each half reuses the panel its parent already computed as
+its own whole panel, so a further level costs two panels, not three.
+
+Cells containing a declared singular point are handled by geometric
+subdivision toward the singularity (ratio one half), summing panel integrals
+until the increment drops below the tolerance.  The integrand is only ever
+evaluated on open subintervals, never at a declared singular point: once the
+next piece would round onto the point, the subdivision stops and fails.
+Either scheme raises :class:`~ultracalc.errors.QuadratureError` with the cell
+index after 60 subdivisions without convergence.
 
 Note that the default tolerance cannot always be reached within the
 subdivision cap for strong integrable singularities (the increments of
@@ -63,47 +75,90 @@ def as_handle(f) -> FunctionHandle:
 
 
 # ----------------------------------------------------------------------
-# adaptive quadrature core (vector-valued integrands)
+# quadrature engine (array integrands)
 # ----------------------------------------------------------------------
 
 _PANEL_T, _PANEL_W = leggauss(12)
+_CHUNK = 64  # cells per first-pass batch; bounds the size of the point arrays
 
 
-def _panel(fvec, lo: float, hi: float, t, w) -> np.ndarray:
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+def _weighted(values, w):
+    """Sum ``w[i] * values[..., i, :]`` in rule order over the point axis."""
     total = 0.0
-    for ti, wi in zip(t, w):
-        total = total + wi * np.asarray(fvec(mid + half * ti))
-    return half * total
+    for i, wi in enumerate(w):
+        total = total + wi * values[..., i, :]
+    return total
 
 
-def _adaptive(fvec, lo, hi, tol, t, w, depth, cell_index) -> np.ndarray:
-    whole = _panel(fvec, lo, hi, t, w)
+def _accepted(halves, whole, lo, hi, tol):
+    """Two-halves error test, or an interval too narrow to split further."""
+    err = np.max(np.abs(halves - whole), axis=-1)
+    floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return (err <= tol) | ((hi - lo) <= floor)
+
+
+def _panels(integrand, handle, cells, lo, hi, rule) -> np.ndarray:
+    """Gauss panels over ``[lo, hi]``, arrays of shape ``(m, k)`` for the m ``cells``.
+
+    All points of the ``n``-point rule go to ``integrand`` in one call; ``f`` is
+    called on them one scalar point at a time.  The result is ``(m, k, r)``.
+    """
+    t, w = rule
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = (mid[..., None] + half[..., None] * t).reshape(len(cells), -1)
+    fx = np.fromiter((handle(v) for v in x.ravel()), float, x.size).reshape(x.shape)
+    values = integrand(cells, x, fx).reshape(mid.shape + (t.size, -1))
+    return half[..., None] * _weighted(values, w)
+
+
+def _cell_panel(integrand, handle, j, rule):
+    """Panel integral over ``[lo, hi]`` inside cell ``j``."""
+    cells = np.array([j])
+
+    def panel(lo, hi) -> np.ndarray:
+        return _panels(integrand, handle, cells, np.array([[lo]]), np.array([[hi]]), rule)[0, 0]
+
+    return panel
+
+
+def _adaptive(panel, lo, hi, tol, depth, cell_index, whole=None) -> np.ndarray:
+    """Integral over ``[lo, hi]``; a parent passes the ``whole`` panel it has."""
+    if whole is None:
+        whole = panel(lo, hi)
     mid = 0.5 * (lo + hi)
-    left = _panel(fvec, lo, mid, t, w)
-    right = _panel(fvec, mid, hi, t, w)
+    left = panel(lo, mid)
+    right = panel(mid, hi)
     halves = left + right
-    err = float(np.max(np.abs(halves - whole)))
-    if err <= tol or (hi - lo) <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
+    if _accepted(halves, whole, lo, hi, tol):
         return halves
+    return _bisect(panel, lo, mid, hi, left, right, tol, depth, cell_index)
+
+
+def _bisect(panel, lo, mid, hi, left, right, tol, depth, cell_index) -> np.ndarray:
+    """Recurse on both halves; each reuses its panel as its own whole panel."""
     if depth >= MAX_SUBDIVISIONS:
         raise QuadratureError(
             f"adaptive quadrature did not converge on cell {cell_index}", cell_index
         )
     half_tol = 0.5 * tol
-    return _adaptive(fvec, lo, mid, half_tol, t, w, depth + 1, cell_index) + _adaptive(
-        fvec, mid, hi, half_tol, t, w, depth + 1, cell_index
+    return _adaptive(panel, lo, mid, half_tol, depth + 1, cell_index, left) + _adaptive(
+        panel, mid, hi, half_tol, depth + 1, cell_index, right
     )
 
 
-def _toward_singularity(fvec, s, far, tol, t, w, cell_index) -> np.ndarray:
-    """Sum panels over geometrically shrinking intervals approaching ``s``."""
+def _toward_singularity(panel, s, far, tol, cell_index) -> np.ndarray:
+    """Sum panels over geometrically shrinking intervals approaching ``s``.
+
+    Stops short of a piece that rounds onto ``s``, so ``s`` is never evaluated.
+    """
     total = None
     for m in range(MAX_SUBDIVISIONS):
         outer = s + (far - s) * 0.5**m
         inner = s + (far - s) * 0.5 ** (m + 1)
         lo, hi = (inner, outer) if inner < outer else (outer, inner)
-        piece = _adaptive(fvec, lo, hi, tol, t, w, 0, cell_index)
+        if inner == s or lo == hi:
+            break
+        piece = _adaptive(panel, lo, hi, tol, 0, cell_index)
         total = piece if total is None else total + piece
         if float(np.max(np.abs(piece))) < tol:
             return total
@@ -112,12 +167,9 @@ def _toward_singularity(fvec, s, far, tol, t, w, cell_index) -> np.ndarray:
     )
 
 
-def _integrate_cell(space, j, fvec, singular, tol, panel) -> np.ndarray:
-    a, b = space.grid.cell_bounds(j)
-    t, w = panel
+def _integrate_cell(panel, a, b, singular, tol, j) -> np.ndarray:
+    """Integral over a cell holding declared singular points."""
     sing = sorted(s for s in singular if a <= s <= b)
-    if not sing:
-        return _adaptive(fvec, a, b, tol, t, w, 0, j)
     # split at singular points; each resulting piece has the singularity
     # at one of its ends (pieces between two singular points are halved)
     cuts = [a] + [s for s in sing if a < s < b] + [b]
@@ -127,14 +179,14 @@ def _integrate_cell(space, j, fvec, singular, tol, panel) -> np.ndarray:
         hi_sing = hi in sing
         if lo_sing and hi_sing:
             mid = 0.5 * (lo + hi)
-            total = total + _toward_singularity(fvec, lo, mid, tol, t, w, j)
-            total = total + _toward_singularity(fvec, hi, mid, tol, t, w, j)
+            total = total + _toward_singularity(panel, lo, mid, tol, j)
+            total = total + _toward_singularity(panel, hi, mid, tol, j)
         elif lo_sing:
-            total = total + _toward_singularity(fvec, lo, hi, tol, t, w, j)
+            total = total + _toward_singularity(panel, lo, hi, tol, j)
         elif hi_sing:
-            total = total + _toward_singularity(fvec, hi, lo, tol, t, w, j)
+            total = total + _toward_singularity(panel, hi, lo, tol, j)
         else:
-            total = total + _adaptive(fvec, lo, hi, tol, t, w, 0, j)
+            total = total + _adaptive(panel, lo, hi, tol, 0, j)
     return total
 
 
@@ -145,11 +197,70 @@ def _panel_rule(space: Space):
     return leggauss(n)
 
 
-def _cell_load_vector(space, j, handle, tol, panel) -> np.ndarray:
-    def fvec(x):
-        return handle(x) * space.basis_values(j, x)
+def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None) -> np.ndarray:
+    """Integral of ``integrand(cells, x, f(x))`` over each listed cell.
 
-    return _integrate_cell(space, j, fvec, handle.singular, tol, panel)
+    ``integrand`` maps an ``(m, P)`` array of points, one row per cell, to an
+    ``(m, P, r)`` array; the result has one length-``r`` row per listed cell
+    (default: all cells, in order).
+    """
+    rule = _panel_rule(space)
+    cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
+    a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
+    s = np.asarray(handle.singular, dtype=float)
+    singular = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
+    parts = []  # (row positions, integrals)
+
+    regular = np.flatnonzero(~singular)
+    for start in range(0, regular.size, _CHUNK):
+        rows = regular[start : start + _CHUNK]
+        lo, hi = a[rows], b[rows]
+        mid = 0.5 * (lo + hi)
+        # whole, left-half and right-half panels of every cell in the chunk
+        p_lo, p_hi = np.stack([lo, lo, mid], axis=1), np.stack([hi, mid, hi], axis=1)
+        sums = _panels(integrand, handle, cells[rows], p_lo, p_hi, rule)
+        whole, left, right = sums[:, 0], sums[:, 1], sums[:, 2]
+        halves = left + right
+        for i in np.flatnonzero(~_accepted(halves, whole, lo, hi, tol)):
+            j = int(cells[rows[i]])
+            panel = _cell_panel(integrand, handle, j, rule)
+            halves[i] = _bisect(panel, lo[i], mid[i], hi[i], left[i], right[i], tol, 0, j)
+        parts.append((rows, halves))
+
+    for i in np.flatnonzero(singular):
+        j = int(cells[i])
+        panel = _cell_panel(integrand, handle, j, rule)
+        parts.append(([i], _integrate_cell(panel, a[i], b[i], handle.singular, tol, j)[None]))
+
+    out = np.empty((cells.size, parts[0][1].shape[-1]))
+    for rows, integrals in parts:
+        out[rows] = integrals
+    return out
+
+
+def _load_vectors(space: Space, handle: FunctionHandle, tol, cells=None) -> np.ndarray:
+    """Integrals of ``f`` against each basis polynomial of each listed cell."""
+
+    def integrand(cells, x, fx):
+        return fx[..., None] * space.cell_basis_values(cells, x)
+
+    return _integrate(space, handle, integrand, tol, cells)
+
+
+def _member_integral(handle: FunctionHandle, u: Ultrafunction, pointwise, tol) -> float:
+    """Sum over cells of the integral of ``pointwise(f(x), u(x))``."""
+    space = u.space
+
+    def integrand(cells, x, fx):
+        # vecdot over contiguous rows sums each point's dot product in the
+        # same order as ``block @ basis_values``
+        ux = np.vecdot(space.cell_basis_values(cells, x), u.blocks[cells][:, None, :])
+        return pointwise(fx, ux)[..., None]
+
+    total = 0.0
+    for value in _integrate(space, handle, integrand, tol)[:, 0]:
+        total += float(value)
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -163,12 +274,7 @@ def project(space: Space, f, *, tol: float = DEFAULT_TOL) -> Ultrafunction:
     The result is the best L2 approximation of ``f`` among members, and the
     unique member pairing like ``f`` against every member.
     """
-    handle = as_handle(f)
-    panel = _panel_rule(space)
-    blocks = np.empty((space.n_cells, space.block_size))
-    for j in range(space.n_cells):
-        blocks[j] = _cell_load_vector(space, j, handle, tol, panel)
-    return Ultrafunction(space, blocks)
+    return Ultrafunction(space, _load_vectors(space, as_handle(f), tol))
 
 
 def project_via_basis(pair, f, *, weights: str = "delta", tol: float = DEFAULT_TOL) -> Ultrafunction:
@@ -181,24 +287,15 @@ def project_via_basis(pair, f, *, weights: str = "delta", tol: float = DEFAULT_T
     """
     handle = as_handle(f)
     space = pair.space
-    panel = _panel_rule(space)
     if weights == "delta":
         sources, targets = pair.delta_coeffs, pair.cardinal_coeffs
     elif weights == "sigma":
         sources, targets = pair.cardinal_coeffs, pair.delta_coeffs
     else:
         raise InvalidArgumentError("weights must be 'delta' or 'sigma'")
-    n = space.block_size
-    flat = np.zeros(space.dim)
-    for j in range(space.n_cells):
-        rows = slice(j * n, (j + 1) * n)
-        load = _cell_load_vector(space, j, handle, tol, panel)
-        # weight for column i: load . source-block, since sources live on cell j only
-        for i in range(pair.size):
-            block = sources[rows, i]
-            if np.any(block != 0.0):
-                flat += (load @ block) * targets[:, i]
-    return Ultrafunction(space, flat.reshape(space.n_cells, n))
+    loads = _load_vectors(space, handle, tol)
+    flat = targets @ (sources.T @ loads.ravel())
+    return Ultrafunction(space, flat.reshape(space.n_cells, space.block_size))
 
 
 def integral_against_member(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) -> float:
@@ -208,34 +305,12 @@ def integral_against_member(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) ->
     projection path, so it can serve as an oracle for the defining property
     of :func:`project`.
     """
-    handle = as_handle(f)
-    space = u.space
-    panel = _panel_rule(space)
-    total = 0.0
-    for j in range(space.n_cells):
-        block = u.blocks[j]
-
-        def fvec(x, _j=j, _block=block):
-            return handle(x) * float(_block @ space.basis_values(_j, x))
-
-        total += float(_integrate_cell(space, j, fvec, handle.singular, tol, panel))
-    return total
+    return _member_integral(as_handle(f), u, lambda fx, ux: fx * ux, tol)
 
 
 def l2_error(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) -> float:
     """L2 norm of ``f - u`` over the support."""
-    handle = as_handle(f)
-    space = u.space
-    panel = _panel_rule(space)
-    total = 0.0
-    for j in range(space.n_cells):
-        block = u.blocks[j]
-
-        def fvec(x, _j=j, _block=block):
-            d = handle(x) - float(_block @ space.basis_values(_j, x))
-            return d * d
-
-        total += float(_integrate_cell(space, j, fvec, handle.singular, tol, panel))
+    total = _member_integral(as_handle(f), u, lambda fx, ux: np.square(fx - ux), tol)
     return math.sqrt(max(total, 0.0))
 
 
@@ -280,7 +355,6 @@ def locality_residual(
     cell.  The projection never mixes cells, so the residual is zero.
     """
     handle = as_handle(f)
-    panel = _panel_rule(space)
     full = project(space, handle, tol=tol)
     worst = 0.0
     for j in cells:
@@ -289,6 +363,6 @@ def locality_residual(
             lambda x, _a=a, _b=b: handle(x) if _a < x < _b else 0.0,
             tuple(s for s in handle.singular if a <= s <= b),
         )
-        block = _cell_load_vector(space, int(j), masked, tol, panel)
+        block = _load_vectors(space, masked, tol, [int(j)])[0]
         worst = max(worst, float(np.linalg.norm(full.blocks[int(j)] - block)))
     return worst

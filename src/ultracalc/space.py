@@ -144,6 +144,18 @@ class Space:
         t = self.to_reference(j, float(x))
         return self._scales[j] * npoly.polyval(t, self._coeffs.T)
 
+    def cell_basis_values(self, cells, x) -> np.ndarray:
+        """Basis values of cell ``cells[i]`` at every point of row ``x[i]``.
+
+        ``x`` has shape ``(m, P)`` for ``m`` cells and the result, C-contiguous,
+        ``(m, P, n)``; each entry equals what :meth:`basis_values` gives for
+        that cell and point.
+        """
+        cells = np.asarray(cells)
+        t = (2.0 * x - 2.0 * self._mids[cells][:, None]) / self._widths[cells][:, None]
+        vals = np.ascontiguousarray(np.moveaxis(npoly.polyval(t, self._coeffs.T), 0, -1))
+        return self._scales[cells][:, None, None] * vals
+
     def edge_values(self, j: int, side: Side) -> np.ndarray:
         """One-sided basis values of cell ``j`` at its left (minus) or right edge."""
         ref = self._edge_minus if side == "minus" else self._edge_plus

@@ -366,3 +366,12 @@ def test_threads_env_validation(space_file):
 def test_bad_expression_is_domain_error(space_file):
     cp = run_cli("project", "--space", str(space_file), "--fn", "import os")
     assert cp.returncode == 1
+
+
+def test_singular_node_fails_with_quadrature_error():
+    # -0.5 is a node of the default grid; the quadrature must give up before
+    # it evaluates the expression at the singular point
+    cp = run_cli("project", "--fn", "abs(x+0.5)^-0.5", "--singular=-0.5", "--tol", "1e-9")
+    assert cp.returncode == 1
+    assert "quadrature" in cp.stderr
+    assert "ZeroDivisionError" not in cp.stderr

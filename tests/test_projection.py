@@ -185,3 +185,127 @@ def test_pointwise_convergence_at_fixed_point():
     assert errs[-1] < errs[0]
     order = math.log2(errs[0] / errs[-1]) / 3.0
     assert order >= 3.0 - 0.3
+
+
+def test_singular_point_is_never_evaluated():
+    # on a 4-cell grid -0.5 is a node: the geometric pieces toward it shrink
+    # until they round onto it, and the quadrature must stop before that
+    s = -0.5
+
+    def fn(x):
+        if x == s:
+            raise AssertionError("integrand evaluated at the singular point")
+        return abs(x - s) ** -0.5
+
+    sp = Space(Grid.uniform(1.0, 4), 0)
+    h = FunctionHandle(fn, singular=(s,))
+    with pytest.raises(QuadratureError) as err:
+        project(sp, h, tol=1e-9)
+    assert err.value.cell_index == 0
+    u = project(sp, h, tol=1e-6)
+    assert math.isfinite(u(-0.75)) and u(-0.75) > 0.0
+
+
+def test_bisection_reuses_parent_panels():
+    # each bisection level below the first pass costs two 12-point panels
+    args = []
+
+    def kink(x):
+        args.append(x)
+        return abs(x - 0.3)
+
+    project(Space(Grid.uniform(1.0, 16), 2), kink)
+    assert len(args) == 1824
+    assert all(type(x) is np.float64 for x in args)
+
+
+def _tagged_grid(ell, seed):
+    rng = np.random.default_rng(seed)
+    h = 2.0 / ell
+    tags = -1.0 + h * (np.arange(1, ell) + rng.uniform(-0.25, 0.25, size=ell - 1))
+    return Grid.with_tags(1.0, tags.tolist(), 1.6 * h)
+
+
+def _exact_kink_loads(space, c):
+    """Blocks of the projection of ``|x - c|``, split exactly at the kink."""
+    t, w = np.polynomial.legendre.leggauss(8)
+    blocks = np.zeros((space.n_cells, space.block_size))
+    for j in range(space.n_cells):
+        a, b = space.grid.cell_bounds(j)
+        for lo, hi in ([(a, c), (c, b)] if a < c < b else [(a, b)]):
+            for ti, wi in zip(t, w):
+                x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * ti
+                blocks[j] += 0.5 * (hi - lo) * wi * abs(x - c) * space.basis_values(j, x)
+    return blocks
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_mixed_first_pass_and_bisection_on_tagged_grid(p):
+    grid = _tagged_grid(100, p)
+    assert grid.n_cells == 100
+    kink_cell = 80
+    a, b = grid.cell_bounds(kink_cell)
+    c = a + 0.37 * (b - a)
+    sp = Space(grid, p)
+    outside = []
+
+    def kink(x):
+        if not a < x < b:
+            outside.append(x)
+        return abs(x - c)
+
+    u = project(sp, kink)
+    # every other cell converged in the first pass: one whole and two half panels
+    assert len(outside) == 36 * (grid.n_cells - 1)
+    assert np.max(np.abs(u.blocks - _exact_kink_loads(sp, c))) <= 1e-10
+    coeffs = np.linspace(0.5, -0.25, p + 1)
+    poly = project(sp, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs)))
+    assert np.max(np.abs(poly.blocks - sp.from_polynomial(coeffs).blocks)) <= 1e-12
+
+
+def _per_point_reference(space, fvec, tol=1e-12):
+    """Per-cell adaptive bisection with one scalar integrand call per point."""
+    t, w = np.polynomial.legendre.leggauss(12)
+    eps = np.finfo(float).eps
+
+    def panel(j, lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total = 0.0
+        for ti, wi in zip(t, w):
+            total = total + wi * np.asarray(fvec(j, mid + half * ti))
+        return half * total
+
+    def adaptive(j, lo, hi, tol):
+        mid = 0.5 * (lo + hi)
+        whole, halves = panel(j, lo, hi), panel(j, lo, mid) + panel(j, mid, hi)
+        if np.max(np.abs(halves - whole)) <= tol or hi - lo <= 4 * eps * max(1, abs(lo), abs(hi)):
+            return halves
+        return adaptive(j, lo, mid, 0.5 * tol) + adaptive(j, mid, hi, 0.5 * tol)
+
+    return np.array([adaptive(j, *space.grid.cell_bounds(j), tol) for j in range(space.n_cells)])
+
+
+@pytest.mark.parametrize("p", [0, 2, 6])
+def test_batched_engine_matches_per_point_reference(p):
+    sp = Space(_tagged_grid(70, 10 + p), p)
+    rng = np.random.default_rng(p)
+    v = random_member(sp, rng)
+    for f in (smooth_fn(rng), lambda x: abs(x - 0.61)):
+        ref = _per_point_reference(sp, lambda j, x: f(x) * sp.basis_values(j, x))
+        assert np.array_equal(project(sp, f).blocks, ref)
+        assert integral_against_member(f, v) == _cell_sum(
+            sp, lambda j, x: f(x) * (v.blocks[j] @ sp.basis_values(j, x))
+        )
+
+        def squared_error(j, x):
+            d = f(x) - v.blocks[j] @ sp.basis_values(j, x)
+            return d * d
+
+        assert l2_error(f, v) == math.sqrt(_cell_sum(sp, squared_error))
+
+
+def _cell_sum(space, fvec):
+    total = 0.0
+    for cell in _per_point_reference(space, fvec):
+        total += float(cell)
+    return total
