@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IndependenceError, InvalidArgumentError
-from .grid import PointKind
+from .grid import INTERIOR, PointKind
 from .space import Side, Space, Ultrafunction
 
 
@@ -103,12 +103,10 @@ def default_interpolation_points(space: Space) -> np.ndarray:
     from numpy.polynomial.legendre import leggauss
 
     t, _ = leggauss(space.block_size)
-    pts = np.empty(space.dim)
-    for j in range(space.n_cells):
-        a, b = space.grid.cell_bounds(j)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts[j * space.block_size : (j + 1) * space.block_size] = mid + half * t
-    return pts
+    nodes = space.grid.nodes
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    widths = space.grid.widths()
+    return (mids[:, None] + 0.5 * widths[:, None] * t).ravel()
 
 
 @dataclass(frozen=True)
@@ -163,14 +161,8 @@ class BasisPair:
         is enforced here.
         """
         sp = self.space
-        out = np.empty(sp.n_cells)
-        for j in range(sp.n_cells):
-            cols = slice(j * sp.block_size, (j + 1) * sp.block_size)
-            evals = np.array(
-                [sp.basis_values(j, q) for q in self.points[cols]]
-            )
-            out[j] = np.linalg.cond(evals)
-        return out
+        points = self.points.reshape(sp.n_cells, sp.block_size)
+        return np.linalg.cond(sp.cell_basis_values(np.arange(sp.n_cells), points))
 
 
 def basis_pair(space: Space, points=None) -> BasisPair:
@@ -178,7 +170,8 @@ def basis_pair(space: Space, points=None) -> BasisPair:
 
     ``points`` must hold exactly ``p + 1`` distinct points interior to every
     cell (defaults to the per-cell Gauss abscissae).  The duality systems are
-    block-diagonal and solved cell by cell.
+    block-diagonal: all points are classified at once, grouped by cell, and
+    the ``n_cells`` systems of size ``p + 1`` are solved as one stack.
     """
     if points is None:
         pts = default_interpolation_points(space)
@@ -188,36 +181,39 @@ def basis_pair(space: Space, points=None) -> BasisPair:
         raise IndependenceError(
             f"need {space.dim} points ({space.block_size} per cell), got {pts.size}"
         )
-    per_cell: dict[int, list[int]] = {j: [] for j in range(space.n_cells)}
-    for i, q in enumerate(pts):
-        loc = space.grid.locate(q)
-        if loc.kind is not PointKind.INTERIOR:
-            raise IndependenceError(
-                f"point {q!r} is not interior to a cell; nodes are not allowed"
-            )
-        per_cell[loc.index].append(i)
-    n = space.block_size
+    ell, n = space.n_cells, space.block_size
+    kind, index = space.grid.classify(pts)
+    off = np.flatnonzero(kind != INTERIOR)
+    if off.size:
+        raise IndependenceError(
+            f"point {pts[off[0]]!r} is not interior to a cell; nodes are not allowed"
+        )
+    counts = np.bincount(index, minlength=ell)
+    wrong = np.flatnonzero(counts != n)
+    if wrong.size:
+        j = wrong[0]
+        raise IndependenceError(f"cell {j} holds {counts[j]} points, expected {n}")
+    # cols[j, a]: index of the a-th point of cell j, in the order given
+    cols = np.argsort(index, kind="stable").reshape(ell, n)
+    cell_pts = pts[cols]
+    ordered = np.sort(cell_pts, axis=1)
+    repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if repeated.size:
+        raise IndependenceError(f"repeated point in cell {repeated[0]}")
+    evals = space.cell_basis_values(np.arange(ell), cell_pts)  # (ell, n, n)
+    try:
+        dual = np.linalg.solve(evals, np.eye(n))  # columns: cardinal coeffs
+    except np.linalg.LinAlgError as exc:
+        # slogdet factors each cell as solve does; sign 0 marks a zero pivot
+        j = np.flatnonzero(np.linalg.slogdet(evals).sign == 0)[0]
+        raise IndependenceError(
+            f"points in cell {j} do not determine a basis"
+        ) from exc
+    rows = np.arange(space.dim).reshape(ell, n)[:, :, None]
     delta_cols = np.zeros((space.dim, space.dim))
     cardinal_cols = np.zeros((space.dim, space.dim))
-    for j, idx in per_cell.items():
-        if len(idx) != n:
-            raise IndependenceError(
-                f"cell {j} holds {len(idx)} points, expected {n}"
-            )
-        cell_pts = pts[idx]
-        if np.unique(cell_pts).size != n:
-            raise IndependenceError(f"repeated point in cell {j}")
-        evals = np.array([space.basis_values(j, q) for q in cell_pts])  # (n, n)
-        try:
-            dual = np.linalg.solve(evals, np.eye(n))  # columns: cardinal coeffs
-        except np.linalg.LinAlgError as exc:
-            raise IndependenceError(
-                f"points in cell {j} do not determine a basis"
-            ) from exc
-        rows = slice(j * n, (j + 1) * n)
-        for a, i in enumerate(idx):
-            delta_cols[rows, i] = evals[a]
-            cardinal_cols[rows, i] = dual[:, a]
+    delta_cols[rows, cols[:, None, :]] = evals.transpose(0, 2, 1)
+    cardinal_cols[rows, cols[:, None, :]] = dual
     pts = pts.copy()
     pts.flags.writeable = False
     delta_cols.flags.writeable = False

@@ -275,8 +275,7 @@ def _cmd_sample(args) -> int:
     beta = u.space.grid.beta
     xs = np.linspace(-beta, beta, args.points)
     lines = ["x,value"]
-    for x in xs:
-        lines.append(f"{_fmt(x)},{_fmt(u(float(x)))}")
+    lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, u.sample(xs)))
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -3,12 +3,14 @@
 The grid is the backbone of every other object in the package: function
 spaces are direct sums of per-cell polynomial spaces, and all pointwise
 conventions (one-sided limits, node averages) are phrased in terms of the
-classification produced by :meth:`Grid.locate`.
+classification produced by :meth:`Grid.locate` (one point) and
+:meth:`Grid.classify` (an array of points, with the same answers).
 
 Node identity is decided by exact comparison after snapping: an input within
 a relative distance of ``2**-40`` of a node is treated as that node.  The
 pointwise conventions at nodes are genuinely discontinuous, so the fuzz is
-kept explicit and tiny rather than hidden in comparisons downstream.
+kept explicit and tiny rather than hidden in comparisons downstream.  NaN
+is no point of the line and is rejected; ``-inf`` and ``inf`` lie outside.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ class PointKind(Enum):
     INTERIOR = "interior"
     NODE = "node"
     OUTSIDE = "outside"
+
+
+#: Kind codes of :meth:`Grid.classify`.
+INTERIOR, NODE, OUTSIDE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -177,6 +183,8 @@ class Grid:
     def locate(self, x: float) -> PointClass:
         """Classify ``x`` as interior to a cell, a node, or outside."""
         x = float(x)
+        if math.isnan(x):
+            raise InvalidArgumentError("cannot classify NaN: it is not a point of the line")
         nodes = self.nodes
         i = int(np.searchsorted(nodes, x))
         # nearest node among neighbours of the insertion point
@@ -192,6 +200,33 @@ class Grid:
         if x < nodes[0] or x > nodes[-1]:
             return PointClass.outside()
         return PointClass.interior(min(i - 1, self.n_cells - 1))
+
+    def classify(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Classify every point of ``xs`` at once.
+
+        Returns ``(kind, index)``, arrays of the shape of ``xs``: ``kind``
+        holds the codes :data:`INTERIOR`, :data:`NODE` or :data:`OUTSIDE`,
+        and ``index`` the cell or node index (``-1`` outside).  Entry ``k``
+        agrees with :meth:`locate` at ``xs[k]``.
+        """
+        x = np.asarray(xs, dtype=float)
+        if np.isnan(x).any():
+            raise InvalidArgumentError("cannot classify NaN: it is not a point of the line")
+        nodes = self.nodes
+        i = np.searchsorted(nodes, x)
+        # nearest node among neighbours of the insertion point; a tie keeps i - 1
+        lo = np.maximum(i - 1, 0)
+        hi = np.minimum(i, nodes.size - 1)
+        d_lo = np.abs(x - nodes[lo])
+        d_hi = np.abs(x - nodes[hi])
+        j = np.where(d_hi < d_lo, hi, lo)
+        d = np.minimum(d_lo, d_hi)
+        node = d <= SNAP_REL * np.maximum(1.0, np.abs(nodes[j]))
+        outside = ~node & ((x < nodes[0]) | (x > nodes[-1]))
+        cell = np.minimum(i - 1, self.n_cells - 1)
+        kind = np.where(node, NODE, np.where(outside, OUTSIDE, INTERIOR))
+        index = np.where(node, j, np.where(outside, -1, cell))
+        return kind, index
 
     def node_index(self, x: float, what: str = "point") -> int:
         """Node index of ``x``; raises if ``x`` is not a grid node."""

@@ -375,3 +375,31 @@ def test_singular_node_fails_with_quadrature_error():
     assert cp.returncode == 1
     assert "quadrature" in cp.stderr
     assert "ZeroDivisionError" not in cp.stderr
+
+
+def test_delta_at_nan_is_domain_error(space_file):
+    cp = run_cli("delta", "--space", str(space_file), "--at", "nan")
+    assert cp.returncode == 1
+    assert "NaN" in cp.stderr
+    assert cp.stdout == ""
+
+
+def test_sample_csv_matches_pointwise_evaluation(tmp_path):
+    from ultracalc import serialize as ser
+
+    space = tmp_path / "s.json"
+    member = tmp_path / "u.json"
+    cp = run_cli("space", "--beta", "1", "--cells", "4", "--tags", "0.3", "--degree", "3",
+                 "--out", str(space))
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("project", "--space", str(space), "--fn", "sin(3*x)+abs(x-0.3)",
+                 "--out", str(member))
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("sample", str(member), "--points", "41")
+    assert cp.returncode == 0, cp.stderr
+    # the CSV is byte for byte what one scalar call per point prints
+    u = ser.member_from_dict(ser.load_json(str(member)), None)
+    xs = np.linspace(-1.0, 1.0, 41)
+    assert any(u.space.grid.locate(float(x)).is_node for x in xs[1:-1])
+    lines = ["x,value"] + [f"{float(x)!r},{float(u(float(x)))!r}" for x in xs]
+    assert cp.stdout == "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from ultracalc import Grid, InvalidArgumentError, PointKind
+from ultracalc import Grid, InvalidArgumentError, PointClass, PointKind
+from ultracalc.grid import INTERIOR, NODE, OUTSIDE
 
 
 def test_uniform_nodes():
@@ -109,3 +112,36 @@ def test_grid_immutable():
         g.beta = 2.0
     with pytest.raises(ValueError):
         g.nodes[0] = 0.0
+
+
+def test_nan_is_rejected():
+    g = Grid.uniform(1.0, 4)
+    with pytest.raises(InvalidArgumentError, match="NaN"):
+        g.locate(float("nan"))
+    with pytest.raises(InvalidArgumentError, match="NaN"):
+        g.classify([0.25, float("nan")])
+
+
+def test_infinities_lie_outside():
+    g = Grid.uniform(1.0, 4)
+    for x in (-math.inf, math.inf):
+        assert g.locate(x).is_outside
+    kind, index = g.classify([-math.inf, math.inf])
+    assert kind.tolist() == [OUTSIDE, OUTSIDE] and index.tolist() == [-1, -1]
+
+
+def test_classify_codes():
+    g = Grid.uniform(1.0, 4)
+    kind, index = g.classify([0.25, 0.5, 7.0, -1.0, 0.5 + 2.0**-42])
+    assert kind.tolist() == [INTERIOR, NODE, OUTSIDE, NODE, NODE]
+    assert index.tolist() == [2, 3, -1, 0, 3]
+
+
+def test_tie_between_two_snapping_nodes_keeps_the_left_one():
+    # cell 1 is narrower than the snap window: its midpoint is equally
+    # close to nodes 1 and 2 and snaps to node 1, as locate has always done
+    g = Grid(1.0, [-1.0, 0.0, 2.0**-42, 1.0], 2.0)
+    x = 2.0**-43
+    assert g.locate(x) == PointClass.node(1)
+    kind, index = g.classify([x])
+    assert kind.tolist() == [NODE] and index.tolist() == [1]
