@@ -22,7 +22,6 @@ from .basis import (
 )
 from .calculus import (
     DerivOperator,
-    JumpCorrection,
     derivative_operator,
     ftc_piecewise_defect,
     ibp_c1_defect,
@@ -67,7 +66,6 @@ __all__ = [
     "IndependenceError",
     "InsufficientDataError",
     "InvalidArgumentError",
-    "JumpCorrection",
     "Ladder",
     "ObservationRow",
     "PointClass",

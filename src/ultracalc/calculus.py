@@ -20,8 +20,12 @@ of the difference of jump products at the two endpoints.
 ``naive_ibp_defect`` exposes that failure.
 
 Cellwise derivatives drop the polynomial degree by one, so they already lie
-in the space and the operators are assembled directly, without a projection
-solve.  Matrices are materialized densely; the dimensions stay small.
+in the space and need no projection solve.  ``D`` is the strong-form
+discontinuous-Galerkin derivative with central-flux lifting: it is applied
+block by block, one ``(p + 1) x (p + 1)`` product per cell plus one pass over
+the edge values that couples each node's two cells, and no matrix of the
+whole space is ever assembled.  ``DerivOperator.matrix`` builds that dense
+view on request, for export.
 """
 
 from __future__ import annotations
@@ -37,92 +41,77 @@ from .space import Space, Ultrafunction
 CONTINUITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class JumpCorrection:
-    """Jump structure at one interior node.
+def _edges(space: Space, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right edge values of every cell, for blocks of shape ``(..., ell, n)``.
 
-    ``left_values`` / ``right_values`` are the one-sided basis values of the
-    two adjacent cells at the node; they build both the jump functional and
-    the node-average delta coefficients.
+    ``left[..., j]`` is the plus limit at node ``j`` and ``right[..., j]`` the
+    minus limit at node ``j + 1``, each bit for bit what ``side_value`` gives.
+    The jump at interior node ``i`` is ``left[..., i] - right[..., i - 1]``.
     """
-
-    node: int
-    left_values: np.ndarray
-    right_values: np.ndarray
+    scales = space._scales[:, None]
+    return (
+        np.vecdot(blocks, scales * space._edge_minus),
+        np.vecdot(blocks, scales * space._edge_plus),
+    )
 
 
 @dataclass(frozen=True)
 class DerivOperator:
-    """Dense derivative matrix in cell-major splitted-basis coordinates."""
+    """Block-wise derivative on ``space``, applied without a global matrix.
+
+    ``apply`` multiplies each cell block by ``(2 / h_j)`` times the reference
+    derivative coupling; for kind ``"D"`` it then adds, at every interior
+    node, half the jump times the one-sided edge values of the two adjacent
+    cells (the node-average delta).  ``matrix`` is the dense
+    ``dim x dim`` view in cell-major coordinates, built on each access.
+    """
 
     kind: str
     space: Space
-    matrix: np.ndarray
-    jumps: tuple[JumpCorrection, ...]
-    jump_matrix: np.ndarray | None
+
+    def _apply_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        sp = self.space
+        out = blocks @ sp._deriv_ref.T
+        out *= (2.0 / sp._widths)[:, None]
+        if self.kind == "D":
+            # half of each interior jump times the node-average delta.  At -beta
+            # and beta the value across the edge is the cell's own, so no jump
+            # enters there.  A cell's own edge terms are summed before its
+            # neighbours' are added: forming the jumps first would round away
+            # the neighbours of a narrow cell at p = 0.
+            left, right = _edges(sp, blocks)
+            across_left = np.concatenate([left[..., :1], right[..., :-1]], axis=-1)
+            across_right = np.concatenate([left[..., 1:], right[..., -1:]], axis=-1)
+            minus = sp._scales[:, None] * sp._edge_minus
+            plus = sp._scales[:, None] * sp._edge_plus
+            own = left[..., None] * minus - right[..., None] * plus
+            coupling = across_right[..., None] * plus - across_left[..., None] * minus
+            out += 0.5 * (own + coupling)
+        return out
 
     def apply(self, u: Ultrafunction) -> Ultrafunction:
         sp = self.space
         if u.space is not sp and u.space != sp:
             raise InvalidArgumentError("member belongs to a different space")
-        flat = self.matrix @ u.coefficients
-        return Ultrafunction(sp, flat.reshape(sp.n_cells, sp.block_size))
+        return Ultrafunction(sp, self._apply_blocks(u.blocks))
 
     __call__ = apply
 
-
-def _cellwise_matrix(space: Space) -> np.ndarray:
-    n = space.block_size
-    mat = np.zeros((space.dim, space.dim))
-    widths = space.grid.widths()
-    for j in range(space.n_cells):
-        rows = slice(j * n, (j + 1) * n)
-        mat[rows, rows] = (2.0 / widths[j]) * space._deriv_ref
-    return mat
-
-
-def _jump_corrections(space: Space) -> tuple[JumpCorrection, ...]:
-    out = []
-    for j in range(1, space.n_cells):
-        left = space.edge_values(j - 1, "plus")
-        right = space.edge_values(j, "minus")
-        left.flags.writeable = False
-        right.flags.writeable = False
-        out.append(JumpCorrection(j, left, right))
-    return tuple(out)
-
-
-def _jump_matrix(space: Space, jumps) -> np.ndarray:
-    n = space.block_size
-    mat = np.zeros((space.dim, space.dim))
-    for jc in jumps:
-        j = jc.node
-        # functional row: jump of u at the node
-        row = np.zeros(space.dim)
-        row[(j - 1) * n : j * n] = -jc.left_values
-        row[j * n : (j + 1) * n] = jc.right_values
-        # node-average delta coefficients
-        col = np.zeros(space.dim)
-        col[(j - 1) * n : j * n] = 0.5 * jc.left_values
-        col[j * n : (j + 1) * n] = 0.5 * jc.right_values
-        mat += np.outer(col, row)
-    return mat
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only matrix: column ``c`` is the image of basis element ``c``."""
+        sp = self.space
+        eye = np.eye(sp.dim).reshape(sp.dim, sp.n_cells, sp.block_size)
+        mat = np.ascontiguousarray(self._apply_blocks(eye).reshape(sp.dim, sp.dim).T)
+        mat.flags.writeable = False
+        return mat
 
 
 def derivative_operator(space: Space, kind: str = "D") -> DerivOperator:
-    """Assemble the generalized (``"D"``) or cellwise (``"D2"``) derivative."""
+    """The generalized (``"D"``) or cellwise (``"D2"``) derivative on ``space``."""
     if kind not in ("D", "D2"):
         raise InvalidArgumentError("kind must be 'D' or 'D2'")
-    cellwise = _cellwise_matrix(space)
-    if kind == "D2":
-        cellwise.flags.writeable = False
-        return DerivOperator("D2", space, cellwise, (), None)
-    jumps = _jump_corrections(space)
-    jump_mat = _jump_matrix(space, jumps)
-    matrix = cellwise + jump_mat
-    matrix.flags.writeable = False
-    jump_mat.flags.writeable = False
-    return DerivOperator("D", space, matrix, jumps, jump_mat)
+    return DerivOperator(kind, space)
 
 
 # ----------------------------------------------------------------------
@@ -189,18 +178,19 @@ def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
     """
     sp = u.space
     _check_node_range(sp, n, m)
-    for i in range(max(n, 1), min(m, sp.n_cells - 1) + 1):
-        if abs(u.jump(i)) > CONTINUITY_TOL or abs(v.jump(i)) > CONTINUITY_TOL:
-            raise PreconditionError(
-                f"member jumps at node {i}; the two-point formula does not apply"
-            )
+    (lu, ru), (lv, rv) = _edges(sp, u.blocks), _edges(sp, v.blocks)
+    lo, hi = max(n, 1), min(m, sp.n_cells - 1) + 1  # interior nodes in [n, m]
+    jumps = np.abs([lu[lo:hi] - ru[lo - 1 : hi - 1], lv[lo:hi] - rv[lo - 1 : hi - 1]])
+    bad = np.flatnonzero(np.max(jumps, axis=0) > CONTINUITY_TOL)
+    if bad.size:
+        raise PreconditionError(
+            f"member jumps at node {lo + int(bad[0])}; the two-point formula does not apply"
+        )
     if n == m:
         return 0.0
     d = derivative_operator(sp, "D")
     du, dv = d.apply(u), d.apply(v)
-    boundary = u.side_value(m, "minus") * v.side_value(m, "minus") - u.side_value(
-        n, "plus"
-    ) * v.side_value(n, "plus")
+    boundary = float(ru[m - 1] * rv[m - 1] - lu[n] * lv[n])
     return abs(
         integrate_product(du, v, n, m) + integrate_product(u, dv, n, m) - boundary
     )
@@ -216,11 +206,8 @@ def ibp_piecewise_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> 
     _check_node_range(sp, n, m)
     d2 = derivative_operator(sp, "D2")
     du, dv = d2.apply(u), d2.apply(v)
-    boundary = sum(
-        u.side_value(i + 1, "minus") * v.side_value(i + 1, "minus")
-        - u.side_value(i, "plus") * v.side_value(i, "plus")
-        for i in range(n, m)
-    )
+    (lu, ru), (lv, rv) = _edges(sp, u.blocks), _edges(sp, v.blocks)
+    boundary = float(np.sum(ru[n:m] * rv[n:m] - lu[n:m] * lv[n:m]))
     return abs(
         integrate_product(du, v, n, m) + integrate_product(u, dv, n, m) - boundary
     )
@@ -232,9 +219,8 @@ def ftc_piecewise_defect(u: Ultrafunction, n: int, m: int) -> float:
     _check_node_range(sp, n, m)
     d2 = derivative_operator(sp, "D2")
     lhs = float(np.sum(_cell_integrals(d2.apply(u))[n:m]))
-    rhs = sum(
-        u.side_value(i + 1, "minus") - u.side_value(i, "plus") for i in range(n, m)
-    )
+    left, right = _edges(sp, u.blocks)
+    rhs = float(np.sum(right[n:m] - left[n:m]))
     return abs(lhs - rhs)
 
 

@@ -177,25 +177,15 @@ def _cmd_pair(args) -> int:
             parse_expression(meta["fn"]), tuple(float(s) for s in meta["singular"])
         ),
     )
-    values = []
-    stage = Stage(space.grid, space.degree)
-    for _ in range(args.refine):
+
+    def observable(stage: Stage) -> float:
         st_space = stage.space()
         t = embed(st_space, spec, tol=args.tol)
-        values.append(pair_distribution(st_space, t, phi, tol=args.tol))
-        from .refinement import refine
+        return pair_distribution(st_space, t, phi, tol=args.tol)
 
-        stage = refine(stage, "dyadic-split")
-    lines = ["level,value,error,order"]
-    ref = values[-1]
-    errors = [abs(v - ref) for v in values[:-1]]
-    for i, v in enumerate(values):
-        err = _fmt(errors[i]) if i < len(errors) else ""
-        order = ""
-        if 0 < i < len(errors) and errors[i] > 0.0 and errors[i - 1] > 0.0:
-            order = _fmt(float(np.log2(errors[i - 1] / errors[i])))
-        lines.append(f"{i},{_fmt(v)},{err},{order}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    ladder = Ladder.from_base(Stage(space.grid, space.degree), args.refine, "dyadic-split")
+    ladder.register("pair", observable)
+    _write_text(_format_table(ladder.observe("pair")), args.out)
     return 0
 
 
@@ -216,13 +206,18 @@ def _cmd_refine(args) -> int:
     ladder.register(label, _builtin_observable(label))
     target = config.get("target")
     rows = ladder.observe(label, None if target is None else float(target))
+    _write_text(_format_table(rows), args.out)
+    return 0
+
+
+def _format_table(rows) -> str:
+    """Convergence table as ``level,value,error,order`` CSV; undefined cells stay empty."""
     lines = ["level,value,error,order"]
     for row in rows:
         err = "" if row.error is None else _fmt(row.error)
         order = "" if row.order is None else _fmt(row.order)
         lines.append(f"{row.stage},{_fmt(row.value)},{err},{order}")
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _builtin_observable(label: str):
@@ -283,6 +278,13 @@ def _cmd_sample(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_space_arg(p: argparse.ArgumentParser, required: bool = False):
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", "delta", "sigma", "projection", "ibp", "ftc", "d2"],
     )
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-factor", type=float, default=1.0, help="tolerance override factor")
     _add_out_arg(p)

@@ -73,7 +73,10 @@ def member_from_dict(data: dict, space: Space | None = None) -> Ultrafunction:
         raise InvalidArgumentError(
             "member file was written for a different space (hash mismatch)"
         )
-    return Ultrafunction(space, np.asarray(blocks, dtype=float))
+    arr = np.asarray(blocks, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("member coefficients must be finite (NaN or inf found)")
+    return Ultrafunction(space, arr)
 
 
 def basis_pair_to_dict(pair: BasisPair) -> dict:

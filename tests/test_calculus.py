@@ -118,11 +118,28 @@ def test_d2_of_x(space):
     assert np.max(np.abs(dx.blocks - space.constant(1.0).blocks)) <= 1e-12
 
 
+def jump_part(u):
+    """Sum over interior nodes of the jump of ``u`` times the node delta."""
+    sp = u.space
+    out = sp.zero()
+    for i in range(1, sp.n_cells):
+        out = out + u.jump(i) * delta(sp, float(sp.grid.nodes[i]))
+    return out
+
+
+def jump_part_matrix(space):
+    """Dense jump part: column ``c`` is the jump part of basis element ``c``."""
+    return np.column_stack([jump_part(e).coefficients for e in space.splitted_basis()])
+
+
 def test_d_decomposes_exactly_into_d2_plus_jumps(space):
     d = derivative_operator(space, "D")
     d2 = derivative_operator(space, "D2")
-    assert np.array_equal(d.matrix, d2.matrix + d.jump_matrix)
-    assert len(d.jumps) == space.n_cells - 1
+    rng = np.random.default_rng(9)
+    for u in (random_member(space, rng), space.indicator(-0.5, 0.75), space.constant(1.0)):
+        gap = d.apply(u).blocks - d2.apply(u).blocks - jump_part(u).blocks
+        assert np.max(np.abs(gap)) <= 1e-13
+    assert np.max(np.abs(d.matrix - d2.matrix - jump_part_matrix(space))) <= 1e-13
 
 
 def test_unknown_kind_rejected(space):
@@ -282,7 +299,6 @@ def test_naive_formula_fine_without_endpoint_jumps(space):
 def test_single_cell_space_identities():
     sp = Space(Grid.uniform(2.0, 1), 3)
     d = derivative_operator(sp, "D")
-    assert len(d.jumps) == 0
     rng = np.random.default_rng(0)
     u = random_member(sp, rng)
     v = random_member(sp, rng)
@@ -294,7 +310,8 @@ def test_single_cell_space_identities():
 def test_degree_zero_derivative_is_pure_jumps():
     sp = Space(Grid.uniform(1.0, 6), 0)
     d = derivative_operator(sp, "D")
-    assert np.all(d.matrix == d.jump_matrix)
+    assert np.all(derivative_operator(sp, "D2").matrix == 0.0)
+    assert np.max(np.abs(d.matrix - jump_part_matrix(sp))) <= 1e-13
     rng = np.random.default_rng(1)
     g = sp.grid_function(rng.standard_normal(6))
     nodes = sp.grid.nodes

@@ -209,6 +209,23 @@ def test_verify_passes_and_is_deterministic(space_file):
     assert "PASS" in first.stdout and "FAIL" not in first.stdout
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_non_positive_trials(trials):
+    cp = run_cli("verify", "--suite", "d2", "--trials", trials, "--seed", "1")
+    assert cp.returncode == 2
+    assert "--trials" in cp.stderr
+    assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suites_rejects_non_positive_trials(trials):
+    from ultracalc import Grid, InvalidArgumentError, Space
+    from ultracalc.verify import run_suites
+
+    with pytest.raises(InvalidArgumentError, match="trials"):
+        run_suites(Space(Grid.uniform(1.0, 4), 1), "all", trials, 0)
+
+
 def test_verify_default_space():
     cp = run_cli("verify", "--suite", "d2", "--trials", "5", "--seed", "1")
     assert cp.returncode == 0, cp.stderr
@@ -290,6 +307,23 @@ def test_pair_refinement_table(space_file, tmp_path):
     lines = cp.stdout.strip().splitlines()
     assert lines[0] == "level,value,error,order"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "levels,message", [("0", "at least one level"), ("-3", "at least one level"),
+                       ("1", "three stages"), ("2", "three stages")]
+)
+def test_pair_refinement_needs_three_levels(space_file, tmp_path, levels, message):
+    dist = tmp_path / "t.json"
+    cp = run_cli("embed", "--space", str(space_file), "--k", "1", "--fn", "x*abs(x)/4",
+                 "--out", str(dist))
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("pair", "--space", str(space_file), "--dist", str(dist), "--test",
+                 "(1-x^2)^4", "--refine", levels)
+    assert cp.returncode == 1
+    assert message in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert cp.stdout == ""
 
 
 def test_refine_observable_table(tmp_path):
@@ -381,6 +415,19 @@ def test_delta_at_nan_is_domain_error(space_file):
     cp = run_cli("delta", "--space", str(space_file), "--at", "nan")
     assert cp.returncode == 1
     assert "NaN" in cp.stderr
+    assert cp.stdout == ""
+
+
+def test_sample_rejects_nan_coefficients(space_file, tmp_path):
+    member = tmp_path / "u.json"
+    cp = run_cli("project", "--space", str(space_file), "--fn", "x", "--out", str(member))
+    assert cp.returncode == 0, cp.stderr
+    data = json.loads(member.read_text())
+    data["blocks"][3][1] = float("nan")
+    member.write_text(json.dumps(data))
+    cp = run_cli("sample", str(member), "--points", "5")
+    assert cp.returncode == 1
+    assert "finite" in cp.stderr
     assert cp.stdout == ""
 
 

@@ -63,6 +63,17 @@ def test_malformed_member_rejected():
         member_from_dict({"blocks": [[1.0]]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_member_coefficients_rejected(bad):
+    sp = Space(Grid.uniform(1.0, 4), 1)
+    data = member_to_dict(sp.constant(1.0))
+    data["blocks"][3][1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        member_from_dict(data)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        member_from_dict(json.loads(json.dumps(data)), sp)
+
+
 def test_basis_pair_dict_round_trips_duality():
     sp = Space(Grid.uniform(1.0, 3), 1)
     d = basis_pair_to_dict(basis_pair(sp))
