@@ -141,9 +141,7 @@ def integrate_product(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> flo
     if v.space is not sp and v.space != sp:
         raise InvalidArgumentError("members belong to different spaces")
     _check_node_range(sp, n, m)
-    a = u.blocks[n:m] @ sp._quad_vals.T
-    b = v.blocks[n:m] @ sp._quad_vals.T
-    return float(np.einsum("ji,ji,i->", a, b, sp._quad_w))
+    return sp._product_integral(u.blocks[n:m], v.blocks[n:m])
 
 
 def _check_node_range(space: Space, n: int, m: int):

@@ -12,7 +12,6 @@ or any identity defect above tolerance, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -412,15 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ULTRACALC_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write("ultracalc: ULTRACALC_THREADS must be a positive integer\n")
-            return 2
-        # computation is single-threaded; any positive cap is honored trivially
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

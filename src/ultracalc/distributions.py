@@ -95,8 +95,10 @@ def pair_exact_member(
                 "at the support boundary"
             )
         w = d.apply(w)
-    # w is now D^k phi
-    f_proj = project(space, spec.f, tol=tol)
-    lhs = embed(space, spec, tol=tol).inner(phi)
+    # w is now D^k phi; t is D^k f_proj, the member embed gives
+    f_proj = t = project(space, spec.f, tol=tol)
+    for _ in range(k):
+        t = d.apply(t)
+    lhs = t.inner(phi)
     rhs = (-1.0) ** k * f_proj.inner(w)
     return abs(lhs - rhs)

@@ -10,28 +10,34 @@ Quadrature
 Coefficients are per-cell integrals of ``f`` against the cell basis, computed
 by adaptive Gauss bisection to a caller-visible tolerance.  Every operation
 (projection, pairing with a member, L2 error) is one array integrand
-``integrand(cells, x, f(x))`` handed to a single engine.
+``integrand(cells, x, f(x))`` handed to a single engine, which bisects all
+intervals of all cells level by level.
 
-A first pass covers all cells, 64 at a time: the points of the whole-cell
-panel and of both half-cell panels of every cell in the chunk form one array,
-``f`` is called on them one scalar point at a time, and the cell basis is
-evaluated on all of them at once.  A cell whose two halves agree with its
-whole panel to within the tolerance is done.  Only the cells that fail are
-bisected further; each half reuses the panel its parent already computed as
-its own whole panel, so a further level costs two panels, not three.
+Level 0 takes the whole panel and both half panels of every interval.  An
+interval whose two halves agree with its whole panel to within the tolerance
+is done; every other one is split, and the next level evaluates all the
+children at once, each reusing its parent's half panel as its own whole
+panel (two panels per child, not three) at half the tolerance.  The
+intervals of a level go to the integrand 64 at a time as one point array;
+``f`` is called on it one scalar point at a time.  The children's integrals
+are summed back up each bisection tree as ``left + right``, so the result
+equals that of a depth-first recursion bit for bit.
 
 Cells containing a declared singular point are handled by geometric
-subdivision toward the singularity (ratio one half), summing panel integrals
-until the increment drops below the tolerance.  The integrand is only ever
-evaluated on open subintervals, never at a declared singular point: once the
-next piece would round onto the point, the subdivision stops and fails.
-Either scheme raises :class:`~ultracalc.errors.QuadratureError` with the cell
-index after 60 subdivisions without convergence.
+subdivision toward the singularity (ratio one half), summing the engine's
+integrals over the pieces until the increment drops below the tolerance.
+The integrand is only ever evaluated on open subintervals, never at a
+declared singular point: once the next piece would round onto the point, the
+subdivision stops and fails.  Either scheme raises
+:class:`~ultracalc.errors.QuadratureError` with the cell index after 60
+subdivisions without convergence (the lowest such cell for bisection).
 
 Note that the default tolerance cannot always be reached within the
 subdivision cap for strong integrable singularities (the increments of
 ``|x|**-0.5`` shrink only like ``2**(-m/2)``); callers project such
-functions with an explicitly loosened tolerance.
+functions with an explicitly loosened tolerance.  Even ``1e-9`` fails when
+the singular point is a grid node, as ``0`` is on uniform grids with an even
+number of cells.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ def as_handle(f) -> FunctionHandle:
 # ----------------------------------------------------------------------
 
 _PANEL_T, _PANEL_W = leggauss(12)
-_CHUNK = 64  # cells per first-pass batch; bounds the size of the point arrays
+_CHUNK = 64  # intervals per `_panels` batch; bounds the size of the point arrays
 
 
 def _weighted(values, w):
@@ -100,76 +106,81 @@ def _accepted(halves, whole, lo, hi, tol):
 def _panels(integrand, handle, cells, lo, hi, rule) -> np.ndarray:
     """Gauss panels over ``[lo, hi]``, arrays of shape ``(m, k)`` for the m ``cells``.
 
-    All points of the ``n``-point rule go to ``integrand`` in one call; ``f`` is
-    called on them one scalar point at a time.  The result is ``(m, k, r)``.
+    The rows go to ``integrand`` ``_CHUNK`` at a time, all points of a chunk in
+    one call; ``f`` is called on them one scalar point at a time.  The result
+    is ``(m, k, r)``.
     """
     t, w = rule
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = (mid[..., None] + half[..., None] * t).reshape(len(cells), -1)
-    fx = np.fromiter((handle(v) for v in x.ravel()), float, x.size).reshape(x.shape)
-    values = integrand(cells, x, fx).reshape(mid.shape + (t.size, -1))
-    return half[..., None] * _weighted(values, w)
+    out = []
+    for start in range(0, len(cells), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        mid, half = 0.5 * (lo[rows] + hi[rows]), 0.5 * (hi[rows] - lo[rows])
+        x = (mid[..., None] + half[..., None] * t).reshape(mid.shape[0], -1)
+        fx = np.fromiter((handle(v) for v in x.ravel()), float, x.size).reshape(x.shape)
+        values = integrand(cells[rows], x, fx).reshape(mid.shape + (t.size, -1))
+        out.append(half[..., None] * _weighted(values, w))
+    return np.concatenate(out)
 
 
-def _cell_panel(integrand, handle, j, rule):
-    """Panel integral over ``[lo, hi]`` inside cell ``j``."""
-    cells = np.array([j])
+def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:
+    """Integrals over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
 
-    def panel(lo, hi) -> np.ndarray:
-        return _panels(integrand, handle, cells, np.array([[lo]]), np.array([[hi]]), rule)[0, 0]
+    Bisects level by level.  Level 0 computes the whole panel and both half
+    panels of every interval; at each later level every interval that failed
+    the two-halves test is split in two, each child taking its parent's half
+    panel as its whole panel and ``tol`` halving.  Each child pair is summed
+    back into its parent as ``left + right``.  An interval still failing at
+    depth ``MAX_SUBDIVISIONS`` raises for the first of its cells.
+    """
+    whole, levels = None, []
+    for depth in range(MAX_SUBDIVISIONS + 1):
+        mid = 0.5 * (lo + hi)
+        # level 0 also needs the whole panel; deeper levels inherit theirs
+        starts, ends = ([lo, lo, mid], [hi, mid, hi]) if whole is None else ([lo, mid], [mid, hi])
+        sums = _panels(integrand, handle, cells, np.stack(starts, 1), np.stack(ends, 1), rule)
+        whole = sums[:, 0] if whole is None else whole
+        halves = sums[:, -2] + sums[:, -1]
+        split = ~_accepted(halves, whole, lo, hi, tol)
+        levels.append((halves, split))
+        if not split.any():
+            break
+        if depth == MAX_SUBDIVISIONS:
+            j = int(cells[split][0])
+            raise QuadratureError(f"adaptive quadrature did not converge on cell {j}", j)
+        # each split parent gives its left child, then its right child
+        cells = np.repeat(cells[split], 2)
+        lo, hi = np.stack([lo, mid], 1)[split].ravel(), np.stack([mid, hi], 1)[split].ravel()
+        whole = sums[split, -2:].reshape(-1, sums.shape[-1])
+        tol = 0.5 * tol
+    total = levels.pop()[0]
+    for halves, split in reversed(levels):
+        halves[split] = total[0::2] + total[1::2]
+        total = halves
+    return total
 
-    return panel
 
-
-def _adaptive(panel, lo, hi, tol, depth, cell_index, whole=None) -> np.ndarray:
-    """Integral over ``[lo, hi]``; a parent passes the ``whole`` panel it has."""
-    if whole is None:
-        whole = panel(lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = panel(lo, mid)
-    right = panel(mid, hi)
-    halves = left + right
-    if _accepted(halves, whole, lo, hi, tol):
-        return halves
-    return _bisect(panel, lo, mid, hi, left, right, tol, depth, cell_index)
-
-
-def _bisect(panel, lo, mid, hi, left, right, tol, depth, cell_index) -> np.ndarray:
-    """Recurse on both halves; each reuses its panel as its own whole panel."""
-    if depth >= MAX_SUBDIVISIONS:
-        raise QuadratureError(
-            f"adaptive quadrature did not converge on cell {cell_index}", cell_index
-        )
-    half_tol = 0.5 * tol
-    return _adaptive(panel, lo, mid, half_tol, depth + 1, cell_index, left) + _adaptive(
-        panel, mid, hi, half_tol, depth + 1, cell_index, right
-    )
-
-
-def _toward_singularity(panel, s, far, tol, cell_index) -> np.ndarray:
-    """Sum panels over geometrically shrinking intervals approaching ``s``.
+def _toward_singularity(integrand, handle, j, s, far, tol, rule) -> np.ndarray:
+    """Sum integrals over geometrically shrinking intervals of cell ``j`` approaching ``s``.
 
     Stops short of a piece that rounds onto ``s``, so ``s`` is never evaluated.
     """
-    total = None
+    cells, total = np.array([j]), None
     for m in range(MAX_SUBDIVISIONS):
         outer = s + (far - s) * 0.5**m
         inner = s + (far - s) * 0.5 ** (m + 1)
         lo, hi = (inner, outer) if inner < outer else (outer, inner)
         if inner == s or lo == hi:
             break
-        piece = _adaptive(panel, lo, hi, tol, 0, cell_index)
+        piece = _intervals(integrand, handle, cells, np.array([lo]), np.array([hi]), tol, rule)[0]
         total = piece if total is None else total + piece
         if float(np.max(np.abs(piece))) < tol:
             return total
-    raise QuadratureError(
-        f"singular quadrature did not converge on cell {cell_index}", cell_index
-    )
+    raise QuadratureError(f"singular quadrature did not converge on cell {j}", j)
 
 
-def _integrate_cell(panel, a, b, singular, tol, j) -> np.ndarray:
-    """Integral over a cell holding declared singular points."""
-    sing = sorted(s for s in singular if a <= s <= b)
+def _integrate_cell(integrand, handle, j, a, b, tol, rule) -> np.ndarray:
+    """Integral over cell ``j = [a, b]``, which holds declared singular points."""
+    sing = sorted(s for s in handle.singular if a <= s <= b)
     # split at singular points; each resulting piece has the singularity
     # at one of its ends (pieces between two singular points are halved)
     cuts = [a] + [s for s in sing if a < s < b] + [b]
@@ -179,14 +190,12 @@ def _integrate_cell(panel, a, b, singular, tol, j) -> np.ndarray:
         hi_sing = hi in sing
         if lo_sing and hi_sing:
             mid = 0.5 * (lo + hi)
-            total = total + _toward_singularity(panel, lo, mid, tol, j)
-            total = total + _toward_singularity(panel, hi, mid, tol, j)
+            total = total + _toward_singularity(integrand, handle, j, lo, mid, tol, rule)
+            total = total + _toward_singularity(integrand, handle, j, hi, mid, tol, rule)
         elif lo_sing:
-            total = total + _toward_singularity(panel, lo, hi, tol, j)
-        elif hi_sing:
-            total = total + _toward_singularity(panel, hi, lo, tol, j)
+            total = total + _toward_singularity(integrand, handle, j, lo, hi, tol, rule)
         else:
-            total = total + _adaptive(panel, lo, hi, tol, 0, j)
+            total = total + _toward_singularity(integrand, handle, j, hi, lo, tol, rule)
     return total
 
 
@@ -208,33 +217,17 @@ def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None)
     cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
     a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
     s = np.asarray(handle.singular, dtype=float)
-    singular = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
-    parts = []  # (row positions, integrals)
-
-    regular = np.flatnonzero(~singular)
-    for start in range(0, regular.size, _CHUNK):
-        rows = regular[start : start + _CHUNK]
-        lo, hi = a[rows], b[rows]
-        mid = 0.5 * (lo + hi)
-        # whole, left-half and right-half panels of every cell in the chunk
-        p_lo, p_hi = np.stack([lo, lo, mid], axis=1), np.stack([hi, mid, hi], axis=1)
-        sums = _panels(integrand, handle, cells[rows], p_lo, p_hi, rule)
-        whole, left, right = sums[:, 0], sums[:, 1], sums[:, 2]
-        halves = left + right
-        for i in np.flatnonzero(~_accepted(halves, whole, lo, hi, tol)):
-            j = int(cells[rows[i]])
-            panel = _cell_panel(integrand, handle, j, rule)
-            halves[i] = _bisect(panel, lo[i], mid[i], hi[i], left[i], right[i], tol, 0, j)
-        parts.append((rows, halves))
-
-    for i in np.flatnonzero(singular):
-        j = int(cells[i])
-        panel = _cell_panel(integrand, handle, j, rule)
-        parts.append(([i], _integrate_cell(panel, a[i], b[i], handle.singular, tol, j)[None]))
-
-    out = np.empty((cells.size, parts[0][1].shape[-1]))
-    for rows, integrals in parts:
-        out[rows] = integrals
+    holds = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
+    regular, singular = np.flatnonzero(~holds), np.flatnonzero(holds)
+    parts = []
+    if regular.size:
+        bounds = a[regular], b[regular]
+        parts.append(_intervals(integrand, handle, cells[regular], *bounds, tol, rule))
+    for i in singular:
+        parts.append(_integrate_cell(integrand, handle, int(cells[i]), a[i], b[i], tol, rule)[None])
+    integrals = np.concatenate(parts)
+    out = np.empty_like(integrals)
+    out[np.concatenate([regular, singular])] = integrals
     return out
 
 

@@ -161,10 +161,15 @@ class Space:
         ref = self._edge_minus if side == "minus" else self._edge_plus
         return self._scales[j] * ref
 
-    def cell_quadrature(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Physical Gauss points and weights for cell ``j``."""
-        h = self._widths[j]
-        return self._mids[j] + 0.5 * h * self._quad_t, 0.5 * h * self._quad_w
+    def _product_integral(self, a, b) -> float:
+        """Integral of the product of two members' blocks ``a`` and ``b`` over their cells.
+
+        Values at the reference Gauss points are left unscaled: the square of
+        the ``sqrt(2 / h)`` basis scale cancels the ``h / 2`` of the weights.
+        """
+        va = a @ self._quad_vals.T  # (cells, nq)
+        vb = b @ self._quad_vals.T
+        return float(np.einsum("ji,ji,i->", va, vb, self._quad_w))
 
     # ------------------------------------------------------------------
     # members
@@ -188,12 +193,10 @@ class Space:
             raise InvalidArgumentError(
                 f"polynomial degree {a.size - 1} exceeds cell degree {self.degree}"
             )
-        blocks = np.empty((self.n_cells, self.block_size))
-        for j in range(self.n_cells):
-            xs, ws = self.cell_quadrature(j)
-            fvals = npoly.polyval(xs, a)
-            bvals = self._scales[j] * self._quad_vals  # (nq, n)
-            blocks[j] = (ws * fvals) @ bvals
+        half = 0.5 * self._widths[:, None]
+        xs, ws = self._mids[:, None] + half * self._quad_t, half * self._quad_w
+        bvals = self._scales[:, None, None] * self._quad_vals  # (cells, nq, n)
+        blocks = np.matmul((ws * npoly.polyval(xs, a))[:, None, :], bvals)[:, 0]
         return Ultrafunction(self, blocks)
 
     def constant(self, value: float) -> "Ultrafunction":
@@ -309,9 +312,7 @@ class Ultrafunction:
         sp = self.space
         if other.space is not sp and other.space != sp:
             raise InvalidArgumentError("members belong to different spaces")
-        a = self.blocks @ sp._quad_vals.T  # (cells, nq), scale-free
-        b = other.blocks @ sp._quad_vals.T
-        return float(np.einsum("ji,ji,i->", a, b, sp._quad_w))
+        return sp._product_integral(self.blocks, other.blocks)
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self), 0.0))

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -387,14 +386,6 @@ def test_export_op_matches_d2_plus_jumps(space_file):
     md2 = np.array([[float(t) for t in row.split(",")] for row in d2.strip().splitlines()])
     assert md.shape == md2.shape == (12, 12)
     assert np.max(np.abs(md - md2)) > 0.1  # the jump corrections are visible
-
-
-def test_threads_env_validation(space_file):
-    cp = run_cli("grid", "--beta", "1", "--cells", "2", env={**os.environ, "ULTRACALC_THREADS": "banana"})
-    assert cp.returncode == 2
-    assert "ULTRACALC_THREADS" in cp.stderr
-    cp = run_cli("grid", "--beta", "1", "--cells", "2", env={**os.environ, "ULTRACALC_THREADS": "4"})
-    assert cp.returncode == 0, cp.stderr
 
 
 def test_bad_expression_is_domain_error(space_file):

@@ -17,6 +17,7 @@ from ultracalc import (
     project,
     project_via_basis,
 )
+from ultracalc.projection import _intervals
 
 
 @pytest.fixture
@@ -263,8 +264,12 @@ def test_mixed_first_pass_and_bisection_on_tagged_grid(p):
     assert np.max(np.abs(poly.blocks - sp.from_polynomial(coeffs).blocks)) <= 1e-12
 
 
-def _per_point_reference(space, fvec, tol=1e-12):
-    """Per-cell adaptive bisection with one scalar integrand call per point."""
+def _per_point_reference(space, fvec, tol=1e-12, singular=()):
+    """Per-cell adaptive bisection with one scalar integrand call per point.
+
+    Cells holding a point of ``singular`` are summed over geometric pieces
+    shrinking toward it, after the other cells, as ``project`` does.
+    """
     t, w = np.polynomial.legendre.leggauss(12)
     eps = np.finfo(float).eps
 
@@ -282,7 +287,43 @@ def _per_point_reference(space, fvec, tol=1e-12):
             return halves
         return adaptive(j, lo, mid, 0.5 * tol) + adaptive(j, mid, hi, 0.5 * tol)
 
-    return np.array([adaptive(j, *space.grid.cell_bounds(j), tol) for j in range(space.n_cells)])
+    def toward(j, s, far):
+        total = None
+        for m in range(60):
+            outer, inner = s + (far - s) * 0.5**m, s + (far - s) * 0.5 ** (m + 1)
+            if inner == s or inner == outer:
+                break
+            piece = adaptive(j, min(inner, outer), max(inner, outer), tol)
+            total = piece if total is None else total + piece
+            if np.max(np.abs(piece)) < tol:
+                return total
+        raise QuadratureError(f"singular quadrature did not converge on cell {j}", j)
+
+    def cell(j):
+        a, b = space.grid.cell_bounds(j)
+        sing = sorted(s for s in singular if a <= s <= b)
+        if not sing:
+            return adaptive(j, a, b, tol)
+        cuts = [a] + [s for s in sing if a < s < b] + [b]
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo in sing and hi in sing:
+                mid = 0.5 * (lo + hi)
+                total = total + toward(j, lo, mid)
+                total = total + toward(j, hi, mid)
+            elif lo in sing:
+                total = total + toward(j, lo, hi)
+            else:
+                total = total + toward(j, hi, lo)
+        return total
+
+    def holds(j):
+        a, b = space.grid.cell_bounds(j)
+        return any(a <= s <= b for s in singular)
+
+    order = sorted(range(space.n_cells), key=holds)  # regular cells first
+    blocks = {j: cell(j) for j in order}
+    return np.array([blocks[j] for j in range(space.n_cells)])
 
 
 @pytest.mark.parametrize("p", [0, 2, 6])
@@ -309,3 +350,67 @@ def _cell_sum(space, fvec):
     for cell in _per_point_reference(space, fvec):
         total += float(cell)
     return total
+
+
+def _inv_sqrt_kink(x):
+    return abs(x) ** -0.5 + abs(x - 0.3)
+
+
+@pytest.mark.parametrize("ell", [5, 15])
+@pytest.mark.parametrize("p", [0, 2, 6])
+def test_singular_tail_matches_per_point_reference(ell, p):
+    # odd cell counts put the singular point inside the middle cell
+    sp = Space(Grid.uniform(1.0, ell), p)
+    ref = _per_point_reference(
+        sp, lambda j, x: _inv_sqrt_kink(x) * sp.basis_values(j, x), 1e-9, (0.0,)
+    )
+    u = project(sp, FunctionHandle(_inv_sqrt_kink, (0.0,)), tol=1e-9)
+    assert np.array_equal(u.blocks, ref)
+
+
+def test_failing_singular_tail_names_the_reference_cell():
+    sp = Space(Grid.uniform(1.0, 4), 2)
+    singular = (0.0, 0.05)
+
+    def f(x):
+        return abs(x) ** -0.5 + abs(x - 0.05) ** -0.5
+
+    with pytest.raises(QuadratureError) as ref:
+        _per_point_reference(sp, lambda j, x: f(x) * sp.basis_values(j, x), 1e-9, singular)
+    with pytest.raises(QuadratureError) as err:
+        project(sp, FunctionHandle(f, singular), tol=1e-9)
+    assert err.value.cell_index == ref.value.cell_index
+    assert str(err.value) == str(ref.value)
+
+
+def test_singular_tail_call_count():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return _inv_sqrt_kink(x)
+
+    project(Space(Grid.uniform(1.0, 5), 2), FunctionHandle(f, (0.0,)), tol=1e-9)
+    assert len(calls) == 4488
+
+
+def test_bisection_cap_names_the_failing_cell():
+    # the bisection floor is absolute near 0: a jump there in a cell 5000 wide
+    # still splits at depth 60, while one at 5000.3 stops at the floor
+    sp = Space(Grid.with_tags(1e4, [-3000.0, 2000.0], 1e5), 1)
+    h = FunctionHandle(lambda x: float(x > 0.7) + float(x > 5000.3))
+    with pytest.raises(QuadratureError) as err:
+        project(sp, h, tol=1e-6)
+    assert err.value.cell_index == 1
+    assert str(err.value) == "adaptive quadrature did not converge on cell 1"
+
+
+def test_engine_names_the_lowest_of_several_failing_cells():
+    # the jump interval of both copies splits to depth 60; the engine takes
+    # them in one level batch and names the lower cell
+    h = FunctionHandle(lambda x: float(x > 0.7))
+    lo, hi = np.array([-3000.0, -3000.0]), np.array([2000.0, 2000.0])
+    rule = np.polynomial.legendre.leggauss(12)
+    with pytest.raises(QuadratureError) as err:
+        _intervals(lambda cells, x, fx: fx[..., None], h, np.array([1, 3]), lo, hi, 1e-6, rule)
+    assert err.value.cell_index == 1

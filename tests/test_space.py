@@ -131,6 +131,28 @@ def test_global_polynomial_represented_exactly(space):
         assert abs(u(x) - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
+def _from_polynomial_reference(space, coeffs):
+    """Gauss loads of a polynomial computed one cell at a time."""
+    blocks = np.empty((space.n_cells, space.block_size))
+    for j in range(space.n_cells):
+        h = space._widths[j]
+        xs, ws = space._mids[j] + 0.5 * h * space._quad_t, 0.5 * h * space._quad_w
+        bvals = space._scales[j] * space._quad_vals  # (nq, n)
+        blocks[j] = (ws * np.polynomial.polynomial.polyval(xs, coeffs)) @ bvals
+    return blocks
+
+
+def test_from_polynomial_matches_per_cell_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        ell = int(rng.integers(1, 60))
+        tags = np.sort(rng.uniform(-0.99, 0.99, size=ell - 1))
+        sp = Space(Grid.with_tags(1.0, tags.tolist(), 2.0), int(rng.integers(0, 7)))
+        coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, sp.block_size + 1)))
+        got = sp.from_polynomial(coeffs).blocks
+        assert np.array_equal(got, _from_polynomial_reference(sp, coeffs))
+
+
 def test_from_polynomial_rejects_too_high_degree(space):
     with pytest.raises(InvalidArgumentError):
         space.from_polynomial([0.0, 0.0, 0.0, 1.0])
