@@ -144,15 +144,16 @@ class BasisPair:
         return self._member(self.cardinal_coeffs @ v)
 
     def duality_matrix(self) -> np.ndarray:
-        """Pairings of every delta member with every cardinal member."""
-        n = self.size
-        out = np.empty((n, n))
-        deltas = [self.delta_at(i) for i in range(n)]
-        cards = [self.cardinal_at(i) for i in range(n)]
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = deltas[a].inner(cards[b])
-        return out
+        """Pairings of every delta member with every cardinal member.
+
+        One batched Gauss product: the pairing ``inner`` computes, for all
+        pairs at once.
+        """
+        sp = self.space
+        shape = (self.size, sp.n_cells, sp.block_size)
+        deltas = self.delta_coeffs.T.reshape(shape) @ sp._quad_vals.T
+        cards = self.cardinal_coeffs.T.reshape(shape) @ sp._quad_vals.T
+        return np.einsum("aji,bji,i->ab", deltas, cards, sp._quad_w)
 
     def cell_condition_numbers(self) -> np.ndarray:
         """2-norm condition number of each cell's point-evaluation matrix.

@@ -7,7 +7,6 @@ single generator, so a fixed seed reproduces the report byte for byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from . import basis as bss
 from . import calculus as calc
 from .errors import InvalidArgumentError
-from .projection import integral_against_member, l2_error, project
+from .projection import FunctionHandle, integral_against_member, l2_error, project
 from .space import Space, Ultrafunction
 
 SUITE_NAMES = ("delta", "sigma", "projection", "ibp", "ftc", "d2")
@@ -53,10 +52,14 @@ def random_point(space: Space, rng: np.random.Generator) -> float:
     return float(rng.uniform(-beta, beta))
 
 
-def _smooth_handle(rng: np.random.Generator):
+def _smooth_handle(rng: np.random.Generator) -> FunctionHandle:
     a, b, c = rng.uniform(-1.0, 1.0, size=3)
     k = float(rng.integers(1, 4))
-    return lambda x: a * math.sin(k * x + b) + c * x * x
+
+    def fn(x):  # one point or a whole array
+        return a * np.sin(k * x + b) + c * x * x
+
+    return FunctionHandle(fn, array=fn)
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +125,9 @@ def _suite_projection(space, trials, rng):
         pf = project(space, f)
         duality = max(duality, abs(pf.inner(v) - integral_against_member(f, v)))
         al, be = rng.uniform(-2.0, 2.0, size=2)
-        combo = project(space, lambda x: al * f(x) + be * g(x))
+        combo = project(space, FunctionHandle(
+            lambda x: al * f(x) + be * g(x), array=lambda x: al * f.array(x) + be * g.array(x)
+        ))
         direct = al * pf + be * project(space, g)
         linearity = max(linearity, float(np.max(np.abs(combo.blocks - direct.blocks))))
         competitor = pf + random_member(space, rng, scale=0.3)

@@ -169,6 +169,20 @@ def test_duality_matrix_is_identity(space):
     assert np.max(np.abs(pair.duality_matrix() - np.eye(pair.size))) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_duality_matrix_equals_pairwise_inner_products(seed):
+    # the batched product must give the bits of one `inner` call per pair
+    rng = np.random.default_rng(seed)
+    ell, p = int(rng.integers(2, 24)), int(rng.integers(0, 6))
+    h = 2.0 / ell
+    tags = -1.0 + h * (np.arange(1, ell) + rng.uniform(-0.3, 0.3, size=ell - 1))
+    pair = basis_pair(Space(Grid.with_tags(1.0, tags.tolist(), 1.6 * h), p))
+    deltas = [pair.delta_at(a) for a in range(pair.size)]
+    cards = [pair.cardinal_at(b) for b in range(pair.size)]
+    loop = np.array([[d.inner(c) for c in cards] for d in deltas])
+    assert pair.duality_matrix().tobytes() == loop.tobytes()
+
+
 def test_cardinal_point_values(space):
     pair = basis_pair(space)
     for a in range(pair.size):

@@ -393,6 +393,14 @@ def test_bad_expression_is_domain_error(space_file):
     assert cp.returncode == 1
 
 
+def test_overflowing_expression_is_domain_error():
+    cp = run_cli("project", "--fn", "exp(1000*x)")
+    assert cp.returncode == 1
+    assert "Traceback" not in cp.stderr
+    assert "not finite" in cp.stderr
+    assert cp.stdout == ""
+
+
 def test_singular_node_fails_with_quadrature_error():
     # -0.5 is a node of the default grid; the quadrature must give up before
     # it evaluates the expression at the singular point

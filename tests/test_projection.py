@@ -147,6 +147,25 @@ def test_locality_residual_is_zero(space):
     assert locality_residual(space, f, range(space.n_cells)) <= 1e-12
 
 
+def _array_only(array):
+    """A handle whose per-point form must never be called."""
+
+    def per_point(x):
+        raise AssertionError("called point by point")
+
+    return FunctionHandle(per_point, array=array)
+
+
+def test_compare_ae_and_locality_use_array_forms(space):
+    f = _array_only(np.sin)
+    g = _array_only(lambda x: np.sin(x) + ((0.0 < x) & (x < 0.25)))
+    assert not compare_ae(space, f, g, (-1.0, 1.0))
+    assert compare_ae(space, f, g, (-1.0, 0.0))
+    assert compare_ae(space, f, f, (-1.0, 1.0))
+    h = _array_only(lambda x: np.exp(-x * x) * np.cos(5.0 * x))
+    assert locality_residual(space, h, range(space.n_cells)) <= 1e-12
+
+
 def test_projection_depends_only_on_local_data(space):
     f = lambda x: math.sin(3 * x)
     g = lambda x: math.sin(3 * x) if x < 0.0 else math.exp(x)
