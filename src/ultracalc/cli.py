@@ -26,6 +26,7 @@ from .grid import Grid
 from .projection import DEFAULT_TOL, FunctionHandle, project
 from .refinement import Ladder, Stage
 from .space import Space
+from .verify import SUITE_NAMES, format_report, run_suites
 
 
 def _fmt(x: float) -> str:
@@ -71,7 +72,7 @@ def _build_grid(args) -> Grid:
 
 def _cmd_grid(args) -> int:
     grid = _build_grid(args)
-    _write_text(ser.dump_json(ser.grid_to_dict(grid), None), args.out)
+    _write_text(ser.dump_json(ser.grid_to_dict(grid)), args.out)
     return 0
 
 
@@ -81,7 +82,7 @@ def _cmd_space(args) -> int:
     else:
         grid = _build_grid(args)
     space = Space(grid, args.degree)
-    _write_text(ser.dump_json(ser.space_to_dict(space), None), args.out)
+    _write_text(ser.dump_json(ser.space_to_dict(space)), args.out)
     return 0
 
 
@@ -89,7 +90,7 @@ def _cmd_project(args) -> int:
     space = _load_space(args)
     handle = _make_handle(args.fn, args.singular)
     u = project(space, handle, tol=args.tol)
-    _write_text(ser.dump_json(ser.member_to_dict(u), None), args.out)
+    _write_text(ser.dump_json(ser.member_to_dict(u)), args.out)
     return 0
 
 
@@ -100,7 +101,7 @@ def _cmd_delta(args) -> int:
         u = bss.delta_sided(space, j, args.side)
     else:
         u = bss.delta(space, args.at)
-    _write_text(ser.dump_json(ser.member_to_dict(u), None), args.out)
+    _write_text(ser.dump_json(ser.member_to_dict(u)), args.out)
     return 0
 
 
@@ -111,7 +112,7 @@ def _cmd_basis(args) -> int:
         with open(args.points, encoding="utf-8") as fh:
             points = [float(tok) for tok in fh.read().split()]
     pair = bss.basis_pair(space, points)
-    _write_text(ser.dump_json(ser.basis_pair_to_dict(pair), None), args.out)
+    _write_text(ser.dump_json(ser.basis_pair_to_dict(pair)), args.out)
     return 0
 
 
@@ -119,7 +120,7 @@ def _cmd_derive(args) -> int:
     space = _load_space(args)
     u = ser.member_from_dict(ser.load_json(args.infile), space)
     op = calc.derivative_operator(space, args.kind)
-    _write_text(ser.dump_json(ser.member_to_dict(op.apply(u)), None), args.out)
+    _write_text(ser.dump_json(ser.member_to_dict(op.apply(u))), args.out)
     return 0
 
 
@@ -132,8 +133,6 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import format_report, run_suites
-
     space = _load_space(args)
     results = run_suites(space, args.suite, args.trials, args.seed, args.tol_factor)
     _write_text(format_report(results), args.out)
@@ -151,7 +150,7 @@ def _cmd_embed(args) -> int:
         "fn": args.fn,
         "singular": [float(s) for s in handle.singular],
     }
-    _write_text(ser.dump_json(data, None), args.out)
+    _write_text(ser.dump_json(data), args.out)
     return 0
 
 
@@ -183,8 +182,7 @@ def _cmd_pair(args) -> int:
         return pair_distribution(st_space, t, phi, tol=args.tol)
 
     ladder = Ladder.from_base(Stage(space.grid, space.degree), args.refine, "dyadic-split")
-    ladder.register("pair", observable)
-    _write_text(_format_table(ladder.observe("pair")), args.out)
+    _write_text(_format_table(ladder.observe(observable)), args.out)
     return 0
 
 
@@ -201,10 +199,10 @@ def _cmd_refine(args) -> int:
         config.get("policy", "dyadic-split"),
         factor=float(config.get("factor", 2.0)),
     )
-    label = args.observe
-    ladder.register(label, _builtin_observable(label))
     target = config.get("target")
-    rows = ladder.observe(label, None if target is None else float(target))
+    rows = ladder.observe(
+        _builtin_observable(args.observe), None if target is None else float(target)
+    )
     _write_text(_format_table(rows), args.out)
     return 0
 
@@ -254,7 +252,7 @@ def _cmd_export_op(args) -> int:
             "space": ser.space_hash(space),
             "matrix": [[float(c) for c in row] for row in op.matrix],
         }
-        _write_text(ser.dump_json(data, None), args.out)
+        _write_text(ser.dump_json(data), args.out)
         return 0
     lines = [",".join(_fmt(c) for c in row) for row in op.matrix]
     _write_text("\n".join(lines) + "\n", args.out)
@@ -283,6 +281,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_arg(p)
     p.add_argument("--fn", required=True, help="expression in x")
     p.add_argument("--singular", help="comma-separated singular points")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     _add_out_arg(p)
     p.set_defaults(handler=_cmd_project)
 
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["all", "delta", "sigma", "projection", "ibp", "ftc", "d2"],
+        choices=["all", *SUITE_NAMES],
     )
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="derivative order")
     p.add_argument("--fn", required=True, help="expression for the C1 antiderivative")
     p.add_argument("--singular", help="comma-separated singular points")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     _add_out_arg(p)
     p.set_defaults(handler=_cmd_embed)
 
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="member JSON written by embed")
     p.add_argument("--test", required=True, help="test function expression")
     p.add_argument("--refine", type=int, help="emit a convergence table over this many dyadic levels")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     _add_out_arg(p)
     p.set_defaults(handler=_cmd_pair)
 
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a member on an even x grid as CSV")
     p.add_argument("member", help="member JSON file")
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_positive_int, default=201)
     p.add_argument("--space", help="space JSON file (defaults to the embedded description)")
     _add_out_arg(p)
     p.set_defaults(handler=_cmd_sample)

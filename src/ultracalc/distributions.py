@@ -31,7 +31,6 @@ class DistributionSpec:
 
     order: int
     f: FunctionHandle
-    label: str = ""
 
     def __post_init__(self):
         if self.order != int(self.order) or int(self.order) < 0:

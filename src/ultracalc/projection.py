@@ -18,12 +18,11 @@ interval whose two halves agree with its whole panel to within the tolerance
 is done; every other one is split, and the next level evaluates all the
 children at once, each reusing its parent's half panel as its own whole
 panel (two panels per child, not three) at half the tolerance.  The
-intervals of a level go to the integrand 64 at a time as one point array.
-``f`` is called once on that whole array when it has an array form (parsed
-expressions do); a plain callable such as ``math.sin`` is called one scalar
-point at a time.  The children's integrals are summed back up each bisection
-tree as ``left + right``, so the result equals that of a depth-first
-recursion bit for bit.
+intervals of a level go to the integrand 64 at a time as one point array,
+and to ``f`` through its handle's array form; for a plain callable such as
+``math.sin`` that form calls ``f`` one scalar point at a time.  The
+children's integrals are summed back up each bisection tree as
+``left + right``, so the result equals that of a depth-first recursion bit for bit.
 
 Cells containing a declared singular point are handled by geometric
 subdivision toward the singularity (ratio one half), summing the engine's
@@ -66,11 +65,11 @@ class FunctionHandle:
     cell; otherwise it is integrable with singularities exactly at the
     listed points.
 
-    ``array``, when given, is the same function on a whole float array: it
-    returns an array of the same shape, element by element equal to ``fn``.
-    Quadrature then calls it once per batch of points instead of calling
-    ``fn`` per point.  It defaults to ``fn.array`` when ``fn`` has one, as the
-    functions from :func:`~ultracalc.expr.parse_expression` do.
+    ``array`` is the same function on a whole float array, element by element
+    equal to ``fn``; quadrature calls only it, once per batch of points.  It
+    defaults to ``fn.array`` when ``fn`` has one, as the functions from
+    :func:`~ultracalc.expr.parse_expression` do, and otherwise to an adapter
+    that calls ``fn`` one scalar point at a time, so it is never ``None``.
     """
 
     fn: Callable[[float], float]
@@ -79,10 +78,15 @@ class FunctionHandle:
 
     def __post_init__(self):
         if self.array is None:
-            object.__setattr__(self, "array", getattr(self.fn, "array", None))
+            object.__setattr__(self, "array", getattr(self.fn, "array", _per_point(self.fn)))
 
     def __call__(self, x: float) -> float:
         return float(self.fn(x))
+
+
+def _per_point(fn):
+    """``fn`` on a float array, called one scalar point at a time."""
+    return lambda x: np.fromiter((float(fn(v)) for v in x.ravel()), float, x.size).reshape(x.shape)
 
 
 def as_handle(f) -> FunctionHandle:
@@ -119,9 +123,8 @@ def _accepted(halves, whole, lo, hi, tol):
 def _panels(integrand, handle, cells, lo, hi, rule) -> np.ndarray:
     """Gauss panels over ``[lo, hi]``, arrays of shape ``(m, k)`` for the m ``cells``.
 
-    The rows go to ``integrand`` ``_CHUNK`` at a time, all points of a chunk in
-    one call; so does ``f`` when it has an array form, and otherwise it is
-    called one scalar point at a time.  The result is ``(m, k, r)``.
+    The rows go to ``handle.array`` and ``integrand`` ``_CHUNK`` at a time, all
+    points of a chunk in one call.  The result is ``(m, k, r)``.
     """
     t, w = rule
     out = []
@@ -129,11 +132,7 @@ def _panels(integrand, handle, cells, lo, hi, rule) -> np.ndarray:
         rows = slice(start, start + _CHUNK)
         mid, half = 0.5 * (lo[rows] + hi[rows]), 0.5 * (hi[rows] - lo[rows])
         x = (mid[..., None] + half[..., None] * t).reshape(mid.shape[0], -1)
-        if handle.array is not None:
-            fx = handle.array(x)
-        else:
-            fx = np.fromiter((handle(v) for v in x.ravel()), float, x.size).reshape(x.shape)
-        values = integrand(cells[rows], x, fx).reshape(mid.shape + (t.size, -1))
+        values = integrand(cells[rows], x, handle.array(x)).reshape(mid.shape + (t.size, -1))
         out.append(half[..., None] * _weighted(values, w))
     return np.concatenate(out)
 
@@ -229,6 +228,8 @@ def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None)
     ``(m, P, r)`` array; the result has one length-``r`` row per listed cell
     (default: all cells, in order).
     """
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be a positive finite number, got {tol!r}")
     rule = _panel_rule(space)
     cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
     a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
@@ -342,10 +343,9 @@ def compare_ae(
     lo, hi = float(region[0]), float(region[1])
     if lo > hi:
         raise InvalidArgumentError("region must be an ordered interval")
-    arrays = fh.array is not None and gh.array is not None
     diff = FunctionHandle(
         lambda x: fh(x) - gh(x), tuple(sorted(set(fh.singular) | set(gh.singular))),
-        (lambda x: fh.array(x) - gh.array(x)) if arrays else None,
+        lambda x: fh.array(x) - gh.array(x),
     )
     d = project(space, diff, tol=tol)
     nodes = space.grid.nodes
@@ -370,9 +370,7 @@ def locality_residual(
         masked = FunctionHandle(
             lambda x, _a=a, _b=b: handle(x) if _a < x < _b else 0.0,
             tuple(s for s in handle.singular if a <= s <= b),
-            None if handle.array is None else (
-                lambda x, _a=a, _b=b: np.where((_a < x) & (x < _b), handle.array(x), 0.0)
-            ),
+            lambda x, _a=a, _b=b: np.where((_a < x) & (x < _b), handle.array(x), 0.0),
         )
         block = _load_vectors(space, masked, tol, [int(j)])[0]
         worst = max(worst, float(np.linalg.norm(full.blocks[int(j)] - block)))

@@ -80,7 +80,7 @@ class ObservationRow:
 
 
 class Ladder:
-    """Ordered stages plus a registry of per-stage scalar observables."""
+    """Ordered stages along which per-stage scalar observables are evaluated."""
 
     def __init__(self, stages):
         stages = list(stages)
@@ -91,7 +91,6 @@ class Ladder:
             if not prev_nodes.issubset(set(nxt.grid.nodes.tolist())):
                 raise InvalidArgumentError("stage node sets must form a chain")
         self.stages = stages
-        self._observables: dict[str, Callable[[Stage], float]] = {}
 
     @classmethod
     def from_base(
@@ -104,24 +103,20 @@ class Ladder:
             stages.append(refine(stages[-1], policy, factor=factor))
         return cls(stages)
 
-    def register(self, label: str, fn: Callable[[Stage], float]) -> None:
-        self._observables[label] = fn
-
-    def observe(self, label: str, target: float | None = None) -> list[ObservationRow]:
-        """Evaluate an observable on every stage and estimate convergence orders.
+    def observe(
+        self, fn: Callable[[Stage], float], target: float | None = None
+    ) -> list[ObservationRow]:
+        """Evaluate the observable ``fn`` on every stage and estimate convergence orders.
 
         With a ``target``, errors are distances to it; without one, the
         finest-stage value serves as the reference (and gets no error of its
         own).  Orders are base-2 logarithms of successive error ratios;
         stalled or vanishing errors leave the order undefined (``None``).
         """
-        if label not in self._observables:
-            raise InvalidArgumentError(f"unknown observable {label!r}")
         if len(self.stages) < 3:
             raise InsufficientDataError(
                 "order estimation needs at least three stages"
             )
-        fn = self._observables[label]
         values = [float(fn(stage)) for stage in self.stages]
         if target is not None:
             errors: list[float | None] = [abs(v - target) for v in values]

@@ -89,12 +89,8 @@ def basis_pair_to_dict(pair: BasisPair) -> dict:
     }
 
 
-def dump_json(data: dict, path_or_none: str | None) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path_or_none is not None:
-        with open(path_or_none, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def dump_json(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def load_json(path: str) -> dict:

@@ -7,7 +7,7 @@ single generator, so a fixed seed reproduces the report byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,8 +16,6 @@ from . import calculus as calc
 from .errors import InvalidArgumentError
 from .projection import FunctionHandle, integral_against_member, l2_error, project
 from .space import Space, Ultrafunction
-
-SUITE_NAMES = ("delta", "sigma", "projection", "ibp", "ftc", "d2")
 
 
 @dataclass(frozen=True)
@@ -236,6 +234,7 @@ _SUITES = {
     "ftc": _suite_ftc,
     "d2": _suite_d2,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(
@@ -255,14 +254,7 @@ def run_suites(
     for name in names:
         for res in _SUITES[name](space, trials, rng):
             if tol_factor != 1.0 and not res.exceed:
-                res = CheckResult(
-                    res.suite,
-                    res.check,
-                    res.trials,
-                    res.max_defect,
-                    res.tolerance * tol_factor,
-                    res.exceed,
-                )
+                res = replace(res, tolerance=res.tolerance * tol_factor)
             results.append(res)
     return results
 

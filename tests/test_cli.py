@@ -430,6 +430,32 @@ def test_sample_rejects_nan_coefficients(space_file, tmp_path):
     assert cp.stdout == ""
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_sample_rejects_non_positive_points(space_file, tmp_path, points):
+    member = tmp_path / "u.json"
+    cp = run_cli("project", "--space", str(space_file), "--fn", "x", "--out", str(member))
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("sample", str(member), "--points", points)
+    assert cp.returncode == 2
+    assert "--points" in cp.stderr
+    assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["project", "embed", "pair"])
+def test_unreachable_tolerance_is_usage_error(space_file, tmp_path, command, tol):
+    args = {
+        "project": ["--fn", "sin(x)"],
+        "embed": ["--k", "1", "--fn", "x*abs(x)/4"],
+        "pair": ["--dist", str(tmp_path / "missing.json"), "--test", "(1-x^2)^4"],
+    }[command]
+    # the timeout bounds a run that would otherwise bisect without end
+    cp = run_cli(command, "--space", str(space_file), *args, "--tol", tol, timeout=60)
+    assert cp.returncode == 2
+    assert "--tol" in cp.stderr
+    assert cp.stdout == ""
+
+
 def test_sample_csv_matches_pointwise_evaluation(tmp_path):
     from ultracalc import serialize as ser
 

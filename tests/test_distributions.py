@@ -88,6 +88,31 @@ def test_pair_rejects_boundary_touching_test_function(space):
         pair(space, t, lambda x: math.cos(x))
 
 
+class _BoundedBump:
+    """``bump`` that counts its calls and gives up after 10**5 of them."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if self.calls > 100_000:
+            raise RuntimeError("quadrature kept evaluating")
+        return bump(x)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+def test_unreachable_tolerance_rejected_before_quadrature(space, tol):
+    f = _BoundedBump()
+    with pytest.raises(InvalidArgumentError, match="tolerance"):
+        embed(space, DistributionSpec(1, f), tol=tol)
+    assert f.calls == 0
+    t = embed(space, DistributionSpec(1, bump))
+    with pytest.raises(InvalidArgumentError, match="tolerance"):
+        pair(space, t, f, tol=tol)
+    assert f.calls == 2  # only the two support-boundary checks
+
+
 def _member_with_silent_boundary(space, rng, layers):
     blocks = rng.standard_normal((space.n_cells, space.block_size))
     blocks[:layers] = 0.0

@@ -6,6 +6,7 @@ import pytest
 from ultracalc import (
     FunctionHandle,
     Grid,
+    InvalidArgumentError,
     QuadratureError,
     Space,
     Ultrafunction,
@@ -164,6 +165,38 @@ def test_compare_ae_and_locality_use_array_forms(space):
     assert compare_ae(space, f, f, (-1.0, 1.0))
     h = _array_only(lambda x: np.exp(-x * x) * np.cos(5.0 * x))
     assert locality_residual(space, h, range(space.n_cells)) <= 1e-12
+
+
+def test_compare_ae_with_plain_callables(space):
+    calls = {"f": 0, "g": 0}
+
+    def f(x):
+        calls["f"] += 1
+        return math.sin(x)
+
+    def g(x):
+        calls["g"] += 1
+        return math.sin(x) + (1.0 if 0.0 < x < 0.25 else 0.0)
+
+    assert not compare_ae(space, f, g, (-1.0, 1.0))
+    # each is called once at every quadrature point of the difference
+    assert calls["f"] == calls["g"] > 0
+    assert compare_ae(space, f, g, (-1.0, 0.0))
+    assert compare_ae(space, f, f, (-1.0, 1.0))
+
+
+def test_locality_residual_with_plain_callable(space):
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return math.exp(-x * x) * math.cos(5.0 * x)
+
+    project(space, h)
+    full = len(calls)
+    assert locality_residual(space, h, range(space.n_cells)) <= 1e-12
+    # the full projection once more, then every cell masked to itself
+    assert len(calls) == 3 * full
 
 
 def test_projection_depends_only_on_local_data(space):
@@ -433,3 +466,77 @@ def test_engine_names_the_lowest_of_several_failing_cells():
     with pytest.raises(QuadratureError) as err:
         _intervals(lambda cells, x, fx: fx[..., None], h, np.array([1, 3]), lo, hi, 1e-6, rule)
     assert err.value.cell_index == 1
+
+
+class _BoundedSin:
+    """``math.sin`` that counts its calls and gives up after 10**5 of them."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if self.calls > 100_000:
+            raise RuntimeError("quadrature kept evaluating")
+        return math.sin(x)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_unreachable_tolerance_rejected_before_evaluation(space, tol):
+    f = _BoundedSin()
+    v = space.constant(1.0)
+    ops = [
+        lambda: project(space, f, tol=tol),
+        lambda: project_via_basis(basis_pair(space), f, tol=tol),
+        lambda: l2_error(f, v, tol=tol),
+        lambda: integral_against_member(f, v, tol=tol),
+        lambda: compare_ae(space, f, f, (-1.0, 1.0), tol=tol),
+        lambda: locality_residual(space, f, [0], tol=tol),
+    ]
+    for op in ops:
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            op()
+    assert f.calls == 0
+
+
+def _two_inv_sqrt(x):
+    return abs(x - 0.1) ** -0.5 + abs(x - 0.25) ** -0.5
+
+
+def _inv_sqrt_integral(a, b, s):
+    """Integral of ``abs(x - s) ** -0.5`` over ``[a, b]``."""
+    if a < s < b:
+        return 2.0 * (math.sqrt(s - a) + math.sqrt(b - s))
+    return 2.0 * abs(math.sqrt(abs(b - s)) - math.sqrt(abs(a - s)))
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_two_singular_points_closed_form(ell):
+    # on 3 cells both points lie in the middle cell, on 5 in neighbouring ones
+    sp = Space(Grid.uniform(1.0, ell), 0)
+    u = project(sp, FunctionHandle(_two_inv_sqrt, (0.1, 0.25)), tol=1e-6)
+    for j in range(ell):
+        a, b = sp.grid.cell_bounds(j)
+        exact = sum(_inv_sqrt_integral(a, b, s) for s in (0.1, 0.25)) / math.sqrt(b - a)
+        assert abs(u.blocks[j, 0] - exact) <= 100 * 1e-6
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+@pytest.mark.parametrize("p", [2, 6])
+def test_two_singular_points_match_per_point_reference(ell, p):
+    sp = Space(Grid.uniform(1.0, ell), p)
+    singular = (0.1, 0.25)
+    ref = _per_point_reference(
+        sp, lambda j, x: _two_inv_sqrt(x) * sp.basis_values(j, x), 1e-6, singular
+    )
+    u = project(sp, FunctionHandle(_two_inv_sqrt, singular), tol=1e-6)
+    assert np.array_equal(u.blocks, ref)
+
+
+@pytest.mark.parametrize("p", [9, 12])
+def test_high_degree_panel_rule_reproduces_polynomials(p):
+    # from degree 9 on the panels use p + 4 Gauss points instead of 12
+    sp = Space(_tagged_grid(6, p), p)
+    coeffs = np.random.default_rng(p).uniform(-1.0, 1.0, size=p + 1)
+    u = project(sp, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs)))
+    assert np.max(np.abs(u.blocks - sp.from_polynomial(coeffs).blocks)) <= 1e-10

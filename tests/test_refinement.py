@@ -79,10 +79,9 @@ def test_polynomial_projection_stable_across_stages():
 
 def test_observe_projection_error_order():
     ladder = Ladder.from_base(Stage(Grid.uniform(1.0, 4), 1), 4, "dyadic-split")
-    ladder.register(
-        "sin-error", lambda st: l2_error(math.sin, project(st.space(), math.sin))
+    rows = ladder.observe(
+        lambda st: l2_error(math.sin, project(st.space(), math.sin)), target=0.0
     )
-    rows = ladder.observe("sin-error", target=0.0)
     orders = [r.order for r in rows if r.order is not None]
     assert len(orders) == 3
     for o in orders:
@@ -91,31 +90,22 @@ def test_observe_projection_error_order():
 
 def test_observe_without_target_uses_finest_stage():
     ladder = Ladder.from_base(Stage(Grid.uniform(1.0, 4), 1), 4, "dyadic-split")
-    ladder.register("peak", lambda st: project(st.space(), math.sin)(0.43))
-    rows = ladder.observe("peak")
+    rows = ladder.observe(lambda st: project(st.space(), math.sin)(0.43))
     assert rows[-1].error is None
     assert rows[0].error is not None and rows[0].error > 0.0
 
 
 def test_observe_constant_observable_flagged():
     ladder = Ladder.from_base(Stage(Grid.uniform(1.0, 4), 1), 3, "dyadic-split")
-    ladder.register("const", lambda st: 1.0)
-    rows = ladder.observe("const")
+    rows = ladder.observe(lambda st: 1.0)
     assert all(r.order is None for r in rows)
     assert all(r.error in (0.0, None) for r in rows)
 
 
 def test_observe_needs_three_stages():
     ladder = Ladder.from_base(Stage(Grid.uniform(1.0, 4), 1), 2, "dyadic-split")
-    ladder.register("const", lambda st: 1.0)
     with pytest.raises(InsufficientDataError):
-        ladder.observe("const")
-
-
-def test_observe_unknown_label():
-    ladder = Ladder.from_base(Stage(Grid.uniform(1.0, 4), 1), 3, "dyadic-split")
-    with pytest.raises(InvalidArgumentError):
-        ladder.observe("nope")
+        ladder.observe(lambda st: 1.0)
 
 
 def test_ladder_rejects_non_nested_stages():

@@ -35,6 +35,16 @@ def test_splitted_basis_gram_is_identity(space):
     assert np.max(np.abs(g - np.eye(space.dim))) <= 1e-12
 
 
+@pytest.mark.parametrize("p", range(7))
+def test_gram_matrix_equals_pairwise_inner_products(p):
+    rng = np.random.default_rng(p)
+    tags = np.sort(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8))))
+    elements = list(Space(Grid.with_tags(1.0, tags.tolist(), 2.0), p).splitted_basis())
+    pairwise = np.array([[u.inner(v) for v in elements] for u in elements])
+    gram = elements[0].space.splitted_basis().gram_matrix()
+    assert np.array_equal(gram, pairwise)
+
+
 def test_splitted_basis_elements_have_one_block(space):
     for j in range(space.n_cells):
         for k in range(space.block_size):
