@@ -113,47 +113,80 @@ def default_interpolation_points(space: Space) -> np.ndarray:
 class BasisPair:
     """A delta basis at interior points and its dual cardinal basis.
 
-    Columns of ``delta_coeffs`` / ``cardinal_coeffs`` hold the flat
-    coefficient vectors of the basis members, in the order of ``points``.
+    Both bases are cell-local, so only the per-cell blocks are stored, all
+    read-only: ``cols[j, a]`` is the index in ``points`` of the ``a``-th
+    point of cell ``j``; ``evals[j, a]`` is the cell-``j`` block of the
+    delta member at that point (the basis values there); and
+    ``dual[j, :, a]`` is the cell-``j`` block of its cardinal member.  Every
+    other block of both members is zero.
     """
 
     space: Space
     points: np.ndarray
-    delta_coeffs: np.ndarray
-    cardinal_coeffs: np.ndarray
+    cols: np.ndarray
+    evals: np.ndarray
+    dual: np.ndarray
 
     @property
     def size(self) -> int:
         return self.points.size
 
+    @property
+    def delta_coeffs(self) -> np.ndarray:
+        """Dense read-only matrix: column ``i`` is the flat delta member at ``points[i]``."""
+        return self._dense(self.evals.transpose(0, 2, 1))
+
+    @property
+    def cardinal_coeffs(self) -> np.ndarray:
+        """Dense read-only matrix: column ``i`` is the flat cardinal member at ``points[i]``."""
+        return self._dense(self.dual)
+
+    def _dense(self, blocks: np.ndarray) -> np.ndarray:
+        """Scatter ``blocks[j, k, a]`` to row ``j * n + k``, column ``cols[j, a]``."""
+        ell, n = self.cols.shape
+        rows = np.arange(self.size).reshape(ell, n)[:, :, None]
+        mat = np.zeros((self.size, self.size))
+        mat[rows, self.cols[:, None, :]] = blocks
+        mat.flags.writeable = False
+        return mat
+
     def delta_at(self, i: int) -> Ultrafunction:
-        return self._member(self.delta_coeffs[:, i])
+        j, a = self._slot(i)
+        return self._member(j, self.evals[j, a])
 
     def cardinal_at(self, i: int) -> Ultrafunction:
-        return self._member(self.cardinal_coeffs[:, i])
+        j, a = self._slot(i)
+        return self._member(j, self.dual[j, :, a])
 
-    def _member(self, flat: np.ndarray) -> Ultrafunction:
-        sp = self.space
-        return Ultrafunction(sp, flat.reshape(sp.n_cells, sp.block_size))
+    def _slot(self, i: int) -> tuple[int, int]:
+        """Cell and in-cell position of ``points[i]``."""
+        if not 0 <= i < self.size:
+            raise InvalidArgumentError(f"point index {i} outside [0, {self.size})")
+        return divmod(int(np.flatnonzero(self.cols.ravel() == i)[0]), self.cols.shape[1])
+
+    def _member(self, j: int, block: np.ndarray) -> Ultrafunction:
+        blocks = np.zeros(self.cols.shape)
+        blocks[j] = block
+        return Ultrafunction(self.space, blocks)
 
     def interpolate(self, values) -> Ultrafunction:
         """Member taking the given values at ``points``: a cardinal-weighted sum."""
         v = np.asarray(values, dtype=float)
         if v.shape != (self.size,):
             raise InvalidArgumentError(f"need exactly {self.size} point values")
-        return self._member(self.cardinal_coeffs @ v)
+        return Ultrafunction(self.space, (self.dual @ v[self.cols][:, :, None])[:, :, 0])
 
     def duality_matrix(self) -> np.ndarray:
-        """Pairings of every delta member with every cardinal member.
+        """Pairings of each cell's delta members with its cardinal members.
 
-        One batched Gauss product: the pairing ``inner`` computes, for all
-        pairs at once.
+        Entry ``[j, a, b]`` pairs the delta member at ``points[cols[j, a]]``
+        with the cardinal member at ``points[cols[j, b]]``, by the Gauss rule
+        ``inner`` uses; members of different cells pair to exactly zero.
         """
         sp = self.space
-        shape = (self.size, sp.n_cells, sp.block_size)
-        deltas = self.delta_coeffs.T.reshape(shape) @ sp._quad_vals.T
-        cards = self.cardinal_coeffs.T.reshape(shape) @ sp._quad_vals.T
-        return np.einsum("aji,bji,i->ab", deltas, cards, sp._quad_w)
+        deltas = self.evals @ sp._quad_vals.T  # (ell, n, nq)
+        cards = self.dual.transpose(0, 2, 1) @ sp._quad_vals.T
+        return np.einsum("jai,jbi,i->jab", deltas, cards, sp._quad_w)
 
     def cell_condition_numbers(self) -> np.ndarray:
         """2-norm condition number of each cell's point-evaluation matrix.
@@ -161,9 +194,7 @@ class BasisPair:
         Reported so callers can judge non-default point sets; no threshold
         is enforced here.
         """
-        sp = self.space
-        points = self.points.reshape(sp.n_cells, sp.block_size)
-        return np.linalg.cond(sp.cell_basis_values(np.arange(sp.n_cells), points))
+        return np.linalg.cond(self.evals)
 
 
 def basis_pair(space: Space, points=None) -> BasisPair:
@@ -210,13 +241,7 @@ def basis_pair(space: Space, points=None) -> BasisPair:
         raise IndependenceError(
             f"points in cell {j} do not determine a basis"
         ) from exc
-    rows = np.arange(space.dim).reshape(ell, n)[:, :, None]
-    delta_cols = np.zeros((space.dim, space.dim))
-    cardinal_cols = np.zeros((space.dim, space.dim))
-    delta_cols[rows, cols[:, None, :]] = evals.transpose(0, 2, 1)
-    cardinal_cols[rows, cols[:, None, :]] = dual
     pts = pts.copy()
-    pts.flags.writeable = False
-    delta_cols.flags.writeable = False
-    cardinal_cols.flags.writeable = False
-    return BasisPair(space, pts, delta_cols, cardinal_cols)
+    for arr in (pts, cols, evals, dual):
+        arr.flags.writeable = False
+    return BasisPair(space, pts, cols, evals, dual)

@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-factor", type=float, default=1.0, help="tolerance override factor")
+    p.add_argument("--tol-factor", type=_positive_float, default=1.0, help="tolerance override factor")
     _add_out_arg(p)
     p.set_defaults(handler=_cmd_verify)
 

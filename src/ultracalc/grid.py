@@ -166,10 +166,6 @@ class Grid:
             raise InvalidArgumentError(f"cell index {j} out of range")
         return float(self.nodes[j]), float(self.nodes[j + 1])
 
-    def cell_width(self, j: int) -> float:
-        a, b = self.cell_bounds(j)
-        return b - a
-
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
 

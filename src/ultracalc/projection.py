@@ -298,14 +298,14 @@ def project_via_basis(pair, f, *, weights: str = "delta", tol: float = DEFAULT_T
     handle = as_handle(f)
     space = pair.space
     if weights == "delta":
-        sources, targets = pair.delta_coeffs, pair.cardinal_coeffs
+        sources, targets = pair.evals, pair.dual
     elif weights == "sigma":
-        sources, targets = pair.cardinal_coeffs, pair.delta_coeffs
+        sources, targets = pair.dual.transpose(0, 2, 1), pair.evals.transpose(0, 2, 1)
     else:
         raise InvalidArgumentError("weights must be 'delta' or 'sigma'")
     loads = _load_vectors(space, handle, tol)
-    flat = targets @ (sources.T @ loads.ravel())
-    return Ultrafunction(space, flat.reshape(space.n_cells, space.block_size))
+    blocks = targets @ (sources @ loads[:, :, None])
+    return Ultrafunction(space, blocks[:, :, 0])
 
 
 def integral_against_member(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) -> float:

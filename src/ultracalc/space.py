@@ -119,9 +119,6 @@ class Space:
     def dim(self) -> int:
         return self.n_cells * (self.degree + 1)
 
-    def flat_index(self, j: int, k: int) -> int:
-        return j * self.block_size + k
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Space):
             return NotImplemented

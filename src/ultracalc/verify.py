@@ -94,11 +94,14 @@ def _suite_delta(space, trials, rng):
 
 def _suite_sigma(space, trials, rng):
     pair = bss.basis_pair(space)
-    eye = np.eye(pair.size)
+    eye = np.eye(space.block_size)
     duality = float(np.max(np.abs(pair.duality_matrix() - eye)))
+    # member a holds the a-th cardinal block of every cell: at the points
+    # of cell j it takes the values of the cardinal member at cols[j, a]
+    cell_pts = pair.points[pair.cols]
     cardinal = 0.0
-    for a in range(pair.size):
-        values = pair.cardinal_at(a).sample(pair.points)
+    for a in range(space.block_size):
+        values = Ultrafunction(space, pair.dual[:, :, a]).sample(cell_pts).reshape(cell_pts.shape)
         cardinal = max(cardinal, float(np.max(np.abs(values - eye[a]))))
     roundtrip = 0.0
     for _ in range(trials):
@@ -243,6 +246,8 @@ def run_suites(
     """Run the requested suite(s); ``suite`` may be a name or ``"all"``."""
     if trials < 1:
         raise InvalidArgumentError(f"trials must be a positive integer, got {trials}")
+    if not 0.0 < tol_factor < np.inf:
+        raise InvalidArgumentError(f"tol_factor must be positive and finite, got {tol_factor}")
     if suite == "all":
         names = SUITE_NAMES
     elif suite in _SUITES:

@@ -102,7 +102,7 @@ def test_sigma_duality_and_interpolation():
     rng = np.random.default_rng(103)
     space = Space(Grid.uniform(1.0, 16), 2)
     pair_ = basis_pair(space)
-    duality = float(np.max(np.abs(pair_.duality_matrix() - np.eye(pair_.size))))
+    duality = float(np.max(np.abs(pair_.duality_matrix() - np.eye(space.block_size))))
     roundtrip = 0.0
     for _ in range(50):
         u = _random_member(space, rng)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,10 @@ from ultracalc import (
     delta,
     delta_kind,
     delta_sided,
+    parse_expression,
+    project_via_basis,
 )
+from ultracalc.verify import run_suites
 
 
 @pytest.fixture
@@ -166,12 +171,13 @@ def test_p0_pair_has_reciprocal_width_delta_and_unit_cardinal():
 
 def test_duality_matrix_is_identity(space):
     pair = basis_pair(space)
-    assert np.max(np.abs(pair.duality_matrix() - np.eye(pair.size))) <= 1e-10
+    assert np.max(np.abs(pair.duality_matrix() - np.eye(space.block_size))) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_duality_matrix_equals_pairwise_inner_products(seed):
-    # the batched product must give the bits of one `inner` call per pair
+    # each cell's block must give the bits of one `inner` call per pair,
+    # and members of different cells must pair to exactly zero
     rng = np.random.default_rng(seed)
     ell, p = int(rng.integers(2, 24)), int(rng.integers(0, 6))
     h = 2.0 / ell
@@ -180,7 +186,12 @@ def test_duality_matrix_equals_pairwise_inner_products(seed):
     deltas = [pair.delta_at(a) for a in range(pair.size)]
     cards = [pair.cardinal_at(b) for b in range(pair.size)]
     loop = np.array([[d.inner(c) for c in cards] for d in deltas])
-    assert pair.duality_matrix().tobytes() == loop.tobytes()
+    duality = pair.duality_matrix()
+    same_cell = np.zeros(loop.shape, dtype=bool)
+    for j, cols in enumerate(pair.cols):
+        assert duality[j].tobytes() == loop[np.ix_(cols, cols)].tobytes()
+        same_cell[np.ix_(cols, cols)] = True
+    assert np.all(loop[~same_cell] == 0.0)
 
 
 def test_cardinal_point_values(space):
@@ -277,6 +288,65 @@ def test_cell_condition_numbers_reported(space):
     assert np.all(cond >= 1.0)
 
 
+def per_cell_condition_numbers(space, points):
+    """Condition numbers with the points grouped by ``Grid.locate``, cell by cell."""
+    per_cell = {j: [] for j in range(space.n_cells)}
+    for q in points:
+        per_cell[space.grid.locate(float(q)).index].append(float(q))
+    return np.array([
+        np.linalg.cond(np.array([space.basis_values(j, q) for q in qs]))
+        for j, qs in per_cell.items()
+    ])
+
+
+def test_cell_condition_numbers_follow_cells_for_shuffled_points(space):
+    # each cell's matrix must be built from that cell's own points, whatever
+    # order the points come in
+    pts = np.random.default_rng(0).permutation(default_interpolation_points(space))
+    cond = basis_pair(space, pts).cell_condition_numbers()
+    np.testing.assert_allclose(cond, basis_pair(space).cell_condition_numbers(), rtol=1e-12)
+    np.testing.assert_allclose(cond, per_cell_condition_numbers(space, pts), rtol=1e-12)
+
+
+@pytest.mark.parametrize("member", ["delta_at", "cardinal_at"])
+def test_member_index_out_of_range_rejected(space, member):
+    pair = basis_pair(space)
+    for i in (-1, pair.size):
+        with pytest.raises(InvalidArgumentError, match="point index"):
+            getattr(pair, member)(i)
+
+
+def test_members_of_shuffled_points_follow_their_point():
+    sp = Space(Grid.uniform(1.0, 4), 0)
+    pts = default_interpolation_points(sp)[::-1].copy()
+    pair = basis_pair(sp, pts)
+    for i, q in enumerate(pts):
+        assert pair.cardinal_at(i)(float(q)) == pytest.approx(1.0, abs=1e-13)
+        assert pair.delta_at(i)(float(q)) == pytest.approx(2.0, abs=1e-13)  # 1 / h
+
+
+def test_basis_operations_stay_cell_local_in_memory():
+    # every basis operation works on (ell, n, n) stacks: at ell=2048 p=2 a
+    # single dense dim x dim matrix would take 302 MB
+    space = Space(Grid.uniform(1.0, 2048), 2)
+    f = parse_expression("sin(x)")
+    tracemalloc.start()
+    try:
+        pair = basis_pair(space)
+        pair.interpolate(np.linspace(-1.0, 1.0, pair.size))
+        pair.duality_matrix()
+        pair.cell_condition_numbers()
+        pair.delta_at(pair.size - 1)
+        pair.cardinal_at(0)
+        for weights in ("delta", "sigma"):
+            project_via_basis(pair, f, weights=weights)
+        run_suites(space, "sigma", 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_delta_reproduction_on_non_uniform_grid():
     # unequal cell widths exercise the per-cell kernel scalings, in
     # particular the half-sum at nodes separating cells of different size
@@ -293,4 +363,4 @@ def test_delta_reproduction_on_non_uniform_grid():
 def test_duality_on_non_uniform_grid():
     sp = Space(Grid.with_tags(1.0, [-0.3, 0.2, 0.55], 0.4), 1)
     pair = basis_pair(sp)
-    assert np.max(np.abs(pair.duality_matrix() - np.eye(pair.size))) <= 1e-10
+    assert np.max(np.abs(pair.duality_matrix() - np.eye(sp.block_size))) <= 1e-10

@@ -137,6 +137,31 @@ def test_basis_json_duality(space_file):
     assert np.max(np.abs(gram - np.eye(len(data["points"])))) < 1e-10
 
 
+def test_basis_cell_condition_for_shuffled_points_file(space_file, tmp_path):
+    from ultracalc import default_interpolation_points
+    from ultracalc import serialize as ser
+
+    space = ser.space_from_dict(ser.load_json(str(space_file)))
+    pts = np.random.default_rng(0).permutation(default_interpolation_points(space))
+    points_file = tmp_path / "points.txt"
+    points_file.write_text("\n".join(repr(float(q)) for q in pts) + "\n")
+    shuffled = run_cli("basis", "--space", str(space_file), "--points", str(points_file))
+    default = run_cli("basis", "--space", str(space_file))
+    assert shuffled.returncode == 0, shuffled.stderr
+    assert default.returncode == 0, default.stderr
+    cond = json.loads(shuffled.stdout)["cell_condition"]
+    np.testing.assert_allclose(cond, json.loads(default.stdout)["cell_condition"], rtol=1e-12)
+    # reference: the points grouped by Grid.locate, one matrix per cell
+    per_cell = {j: [] for j in range(space.n_cells)}
+    for q in pts:
+        per_cell[space.grid.locate(float(q)).index].append(float(q))
+    expected = [
+        np.linalg.cond(np.array([space.basis_values(j, q) for q in qs]))
+        for j, qs in per_cell.items()
+    ]
+    np.testing.assert_allclose(cond, expected, rtol=1e-12)
+
+
 def test_derive_matches_delta_difference(space_file, tmp_path):
     member = tmp_path / "chi.json"
     # indicator of [-0.5, 0.5] as projection of an expression with plateau 1
@@ -223,6 +248,23 @@ def test_run_suites_rejects_non_positive_trials(trials):
 
     with pytest.raises(InvalidArgumentError, match="trials"):
         run_suites(Space(Grid.uniform(1.0, 4), 1), "all", trials, 0)
+
+
+@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_unusable_tol_factor(factor):
+    cp = run_cli("verify", "--suite", "d2", "--trials", "1", "--seed", "1", "--tol-factor", factor)
+    assert cp.returncode == 2
+    assert "--tol-factor" in cp.stderr
+    assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_suites_rejects_unusable_tol_factor(factor):
+    from ultracalc import Grid, InvalidArgumentError, Space
+    from ultracalc.verify import run_suites
+
+    with pytest.raises(InvalidArgumentError, match="tol_factor"):
+        run_suites(Space(Grid.uniform(1.0, 4), 1), "all", 1, 0, factor)
 
 
 def test_verify_default_space():
