@@ -12,6 +12,7 @@ or any identity defect above tolerance, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -300,6 +301,7 @@ def _add_out_arg(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultracalc",

@@ -11,6 +11,11 @@ a relative distance of ``2**-40`` of a node is treated as that node.  The
 pointwise conventions at nodes are genuinely discontinuous, so the fuzz is
 kept explicit and tiny rather than hidden in comparisons downstream.  NaN
 is no point of the line and is rejected; ``-inf`` and ``inf`` lie outside.
+
+A grid is its node array; ``beta`` and ``h_max`` are read from it.  Its one
+constructor checks the whole contract, so every factory, refinement policy
+and file reader inherits it: no cell may be so narrow that snapping
+swallows it.
 """
 
 from __future__ import annotations
@@ -74,36 +79,28 @@ class PointClass:
 
 
 class Grid:
-    """Strictly increasing nodes ``-beta = g_0 < ... < g_n = beta``.
+    """Strictly increasing finite nodes ``-beta = g_0 < ... < g_n = beta``.
 
-    Cell ``j`` is the open interval ``(nodes[j], nodes[j+1])``; every gap is
-    bounded by ``h_max``.  Grids are immutable after construction.
+    Cell ``j`` is the open interval ``(nodes[j], nodes[j+1])``; it is wider
+    than the snap windows of its two end nodes together, so ``2 / width``
+    stays below ``2**40``.  Grids are immutable after construction.
     """
 
-    __slots__ = ("beta", "nodes", "h_max")
+    __slots__ = ("nodes",)
 
-    def __init__(self, beta: float, nodes, h_max: float):
-        beta = float(beta)
-        if not math.isfinite(beta) or beta <= 0.0:
-            raise InvalidArgumentError("beta must be a positive finite number")
-        arr = np.asarray(nodes, dtype=float).copy()
+    def __init__(self, nodes):
+        arr = np.array(nodes, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidArgumentError("need at least two nodes")
-        if arr[0] != -beta or arr[-1] != beta:
-            raise InvalidArgumentError("nodes must start at -beta and end at beta")
-        gaps = np.diff(arr)
-        if np.any(gaps <= 0.0):
-            raise InvalidArgumentError("nodes must be strictly increasing")
-        h_max = float(h_max)
-        if not math.isfinite(h_max) or h_max <= 0.0:
-            raise InvalidArgumentError("h_max must be a positive finite number")
-        # 1-ulp slack: uniform construction can overshoot h_max by rounding.
-        if np.any(gaps > h_max * (1.0 + 1e-12)):
-            raise InvalidArgumentError("a cell exceeds the h_max bound")
+        if not (np.all(np.isfinite(arr)) and arr[-1] > 0.0 and arr[0] == -arr[-1]):
+            raise InvalidArgumentError("nodes must be finite and run from -beta to beta > 0")
+        window = SNAP_REL * np.maximum(1.0, np.abs(arr))
+        if np.any(np.diff(arr) <= window[:-1] + window[1:]):
+            raise InvalidArgumentError(
+                "nodes must be strictly increasing, each cell wider than its two ends' snap windows"
+            )
         arr.flags.writeable = False
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "nodes", arr)
-        object.__setattr__(self, "h_max", h_max)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Grid is immutable")
@@ -117,12 +114,7 @@ class Grid:
         """Uniform partition of ``[-beta, beta]`` into ``ell`` cells."""
         if ell != int(ell) or int(ell) < 1:
             raise InvalidArgumentError("ell must be a positive integer")
-        ell = int(ell)
-        beta = float(beta)
-        if not math.isfinite(beta) or beta <= 0.0:
-            raise InvalidArgumentError("beta must be a positive finite number")
-        nodes = np.linspace(-beta, beta, ell + 1)
-        return cls(beta, nodes, 2.0 * beta / ell)
+        return cls(np.linspace(-float(beta), float(beta), int(ell) + 1))
 
     @classmethod
     def with_tags(cls, beta: float, tags, h_max: float) -> "Grid":
@@ -151,11 +143,20 @@ class Grid:
             for i in range(1, parts):
                 nodes.append(a + gap * i / parts)
             nodes.append(b)
-        return cls(beta, np.asarray(nodes), h_max)
+        return cls(nodes)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+
+    @property
+    def beta(self) -> float:
+        return float(self.nodes[-1])
+
+    @property
+    def h_max(self) -> float:
+        """Width of the widest cell."""
+        return float(np.max(np.diff(self.nodes)))
 
     @property
     def n_cells(self) -> int:
@@ -236,11 +237,7 @@ class Grid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
-        return (
-            self.beta == other.beta
-            and self.nodes.shape == other.nodes.shape
-            and bool(np.all(self.nodes == other.nodes))
-        )
+        return self.nodes.shape == other.nodes.shape and bool(np.all(self.nodes == other.nodes))
 
     __hash__ = None
 

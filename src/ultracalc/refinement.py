@@ -32,7 +32,6 @@ class Stage:
 
     grid: Grid
     degree: int
-    index: int = 0
 
     def space(self) -> Space:
         return Space(self.grid, self.degree)
@@ -42,15 +41,15 @@ def refine(stage: Stage, policy: str, *, factor: float = 2.0) -> Stage:
     """Produce the next stage under the given growth policy.
 
     ``dyadic-split`` halves every cell; ``beta-growth`` widens the support
-    by ``factor`` keeping all old nodes and the old cell bound;
-    ``degree-raise`` increments the polynomial degree on the same grid.
+    by ``factor`` keeping all old nodes, with no cell wider than the widest
+    old cell; ``degree-raise`` increments the polynomial degree on the same
+    grid.
     """
     g = stage.grid
     if policy == "dyadic-split":
         mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
         nodes = np.sort(np.concatenate([g.nodes, mids]))
-        new = Grid(g.beta, nodes, 0.5 * g.h_max)
-        return Stage(new, stage.degree, stage.index + 1)
+        return Stage(Grid(nodes), stage.degree)
     if policy == "beta-growth":
         if not factor > 1.0:
             raise InvalidArgumentError("beta-growth requires factor > 1")
@@ -62,10 +61,9 @@ def refine(stage: Stage, policy: str, *, factor: float = 2.0) -> Stage:
         right[-1] = new_beta
         left = -right[::-1]
         nodes = np.concatenate([left, g.nodes, right])
-        new = Grid(new_beta, nodes, g.h_max)
-        return Stage(new, stage.degree, stage.index + 1)
+        return Stage(Grid(nodes), stage.degree)
     if policy == "degree-raise":
-        return Stage(g, stage.degree + 1, stage.index + 1)
+        return Stage(g, stage.degree + 1)
     raise InvalidArgumentError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 

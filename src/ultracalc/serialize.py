@@ -29,8 +29,10 @@ def grid_from_dict(data: dict) -> Grid:
         nodes = [float(x) for x in data["nodes"]]
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed grid data: {exc}") from exc
-    h_max = float(np.max(np.diff(nodes)))
-    return Grid(beta, nodes, h_max)
+    grid = Grid(nodes)
+    if beta != grid.beta:
+        raise InvalidArgumentError(f"grid beta {beta!r} is not its last node {grid.beta!r}")
+    return grid
 
 
 def space_to_dict(space: Space) -> dict:

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ultracalc import cli
+
 
 def run_cli(*args: str, **kwargs) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "ultracalc", *args]
@@ -69,6 +71,28 @@ def test_grid_rejects_bad_beta():
     cp = run_cli("grid", "--beta", "-1", "--cells", "4")
     assert cp.returncode == 1
     assert "beta" in cp.stderr
+
+
+def test_grid_finer_than_the_snap_windows_is_domain_error(capsys):
+    assert cli.main(["grid", "--beta", "1e-13", "--cells", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "snap windows" in captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    runs = [
+        ["grid", "--beta", "2", "--tags=0.3", "--hmax", "0.7"],
+        ["space", "--beta", "1", "--cells", "3", "--degree", "1"],
+        ["grid", "--beta", "0", "--cells", "4"],
+    ]
+    first = []
+    for argv in runs + runs[:1]:
+        code = cli.main(argv)
+        first.append((code, capsys.readouterr().out))
+    assert [code for code, _ in first] == [0, 0, 1, 0]
+    assert first[-1] == first[0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_project_and_sample(space_file, tmp_path):

@@ -15,18 +15,11 @@ from hypothesis import strategies as st
 from ultracalc import Grid, Space, Ultrafunction, derivative_operator
 from ultracalc.calculus import _edges
 
+from strategies import grids
+
 
 def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
-
-
-@st.composite
-def grids(draw):
-    """Tagged grids on ``[-beta, beta]`` with up to 64 fill cells, one cell included."""
-    beta = draw(st.floats(0.25, 8.0))
-    tags = draw(st.lists(st.floats(-0.99, 0.99), max_size=6))
-    ell = draw(st.integers(1, 64))
-    return Grid.with_tags(beta, [beta * t for t in tags], 2.0 * beta / ell)
 
 
 def reference_matrix(space: Space, kind: str) -> np.ndarray:
@@ -55,10 +48,7 @@ def reference_matrix(space: Space, kind: str) -> np.ndarray:
 
 def assert_agrees(got, ref, rel: float = 1e-14):
     """``got`` equals ``ref`` to ``rel`` times the largest entry of ``ref``."""
-    if not np.all(np.isfinite(ref)):
-        # a cell so narrow that 2 / h overflows: there is no finite answer
-        assert not np.all(np.isfinite(got))
-    elif np.any(ref):
+    if np.any(ref):
         assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
     else:  # p = 0 with D2: the cellwise derivative of a step function
         assert not np.any(got)
@@ -80,9 +70,7 @@ def test_apply_matches_dense_reference(space, kind, seed):
 @given(space=spaces)
 def test_dense_views_match_reference(space):
     d2 = derivative_operator(space, "D2").matrix
-    ref2 = reference_matrix(space, "D2")
-    if np.all(np.isfinite(ref2)):
-        np.testing.assert_array_equal(bits(d2), bits(ref2))
+    np.testing.assert_array_equal(bits(d2), bits(reference_matrix(space, "D2")))
     d = derivative_operator(space, "D").matrix
     assert d.shape == (space.dim, space.dim)
     assert_agrees(d, reference_matrix(space, "D"))

@@ -102,8 +102,42 @@ def test_cells_cover_support_disjointly():
 
 
 def test_nodes_strictly_increasing_required():
-    with pytest.raises(InvalidArgumentError):
-        Grid(1.0, [-1.0, 0.5, 0.5, 1.0], 2.0)
+    with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+        Grid([-1.0, 0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "nodes,message",
+    [
+        ([1.0], "two nodes"),
+        ([[-1.0, 1.0]], "two nodes"),
+        ([-1.0, math.nan, 1.0], "finite"),
+        ([-math.inf, 0.0, math.inf], "finite"),
+        ([-1.0, 0.0, 2.0], "-beta to beta"),
+        ([0.0, 0.0], "-beta to beta"),
+        ([1.0, -1.0], "-beta to beta"),
+    ],
+)
+def test_constructor_refuses_nodes_outside_the_contract(nodes, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        Grid(nodes)
+
+
+def test_beta_and_h_max_are_read_from_the_nodes():
+    nodes = [-2.0, -1.3, -0.6, 0.4, 1.2, 2.0]
+    g = Grid(nodes)
+    assert g.beta == 2.0
+    assert g.h_max == np.max(np.diff(nodes))
+    for g in (Grid.uniform(3.0, 7), Grid.with_tags(1.0, [0.1], 0.5)):
+        assert g.beta == g.nodes[-1]
+        assert g.h_max == np.max(np.diff(g.nodes))
+
+
+def test_with_tags_fill_bound_is_not_stored():
+    # the fill bound 0.5 gives cells of 1.1 / 3 and 0.9 / 2: h_max is the widest
+    g = Grid.with_tags(1.0, [0.1], 0.5)
+    assert g.h_max == pytest.approx(0.45)
+    assert g == Grid(g.nodes)
 
 
 def test_grid_immutable():
@@ -137,11 +171,31 @@ def test_classify_codes():
     assert index.tolist() == [2, 3, -1, 0, 3]
 
 
-def test_tie_between_two_snapping_nodes_keeps_the_left_one():
-    # cell 1 is narrower than the snap window: its midpoint is equally
-    # close to nodes 1 and 2 and snaps to node 1, as locate has always done
-    g = Grid(1.0, [-1.0, 0.0, 2.0**-42, 1.0], 2.0)
-    x = 2.0**-43
-    assert g.locate(x) == PointClass.node(1)
-    kind, index = g.classify([x])
-    assert kind.tolist() == [NODE] and index.tolist() == [1]
+def test_cell_inside_the_snap_windows_is_refused():
+    # cell 1 is narrower than the snap window: its midpoint would be equally
+    # close to nodes 1 and 2, so no point of it could classify as interior
+    with pytest.raises(InvalidArgumentError, match="snap windows"):
+        Grid([-1.0, 0.0, 2.0**-42, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Grid.with_tags(1.0, [0.0, 1e-300], 1.0),
+        lambda: Grid.uniform(1e-13, 4),
+        lambda: Grid([-1.0, 1.0 - 2.0**-40, 1.0]),
+    ],
+    ids=["tags-within-the-windows", "uniform-beta-1e-13", "last-cell"],
+)
+def test_grids_finer_than_the_snap_windows_are_refused(build):
+    with pytest.raises(InvalidArgumentError, match="snap windows"):
+        build()
+
+
+def test_gap_just_wider_than_both_windows_is_accepted():
+    # nodes 0 and 2**-39 both have a snap window 2**-40 wide
+    g = Grid([-1.0, 0.0, math.nextafter(2.0**-39, 1.0), 1.0])
+    assert g.n_cells == 3
+    assert np.all(np.isfinite(2.0 / g.widths()))
+    with pytest.raises(InvalidArgumentError, match="snap windows"):
+        Grid([-1.0, 0.0, 2.0**-39, 1.0])

@@ -27,20 +27,13 @@ from ultracalc import (
 )
 from ultracalc.grid import INTERIOR, NODE, OUTSIDE
 
+from strategies import grids
+
 CODES = {PointKind.INTERIOR: INTERIOR, PointKind.NODE: NODE, PointKind.OUTSIDE: OUTSIDE}
 
 
 def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
-
-
-@st.composite
-def grids(draw):
-    """Tagged grids on ``[-beta, beta]`` with up to 64 fill cells."""
-    beta = draw(st.floats(0.25, 8.0))
-    tags = draw(st.lists(st.floats(-0.99, 0.99), max_size=6))
-    ell = draw(st.integers(1, 64))
-    return Grid.with_tags(beta, [beta * t for t in tags], 2.0 * beta / ell)
 
 
 def off_by_ulps(x: float, k: int) -> float:
@@ -54,7 +47,7 @@ def probes(grid: Grid):
     beta = grid.beta
     nodes = grid.nodes
     node = st.sampled_from(nodes.tolist())
-    # equidistant from two nodes: a tie when the cell is inside the snap window
+    # equidistant from two nodes
     mid = st.sampled_from((0.5 * (nodes[:-1] + nodes[1:])).tolist())
     near = st.tuples(node, st.sampled_from([-3, -2, -1, 1, 2, 3])).map(
         lambda t: off_by_ulps(*t)

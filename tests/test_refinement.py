@@ -13,6 +13,7 @@ from ultracalc import (
     project,
     refine,
 )
+from ultracalc.serialize import grid_from_dict, grid_to_dict
 
 
 def test_dyadic_split_of_uniform_grid():
@@ -20,7 +21,6 @@ def test_dyadic_split_of_uniform_grid():
     nxt = refine(st, "dyadic-split")
     np.testing.assert_allclose(nxt.grid.nodes, Grid.uniform(1.0, 8).nodes)
     assert nxt.grid.h_max == 0.25
-    assert nxt.index == 1
 
 
 def test_beta_growth_preserves_nodes():
@@ -38,6 +38,26 @@ def test_beta_growth_with_fractional_factor_on_tagged_grid():
     assert nxt.grid.beta == pytest.approx(1.7)
     assert set(st.grid.nodes.tolist()).issubset(set(nxt.grid.nodes.tolist()))
     assert np.max(np.diff(nxt.grid.nodes)) <= st.grid.h_max * (1 + 1e-12)
+
+
+def test_beta_growth_reads_only_the_nodes():
+    # the fill bound 0.5 is not part of the grid: a grid read back from its
+    # JSON equals it and grows the same way
+    g = Grid.with_tags(1.0, [0.1], 0.5)
+    g2 = grid_from_dict(grid_to_dict(g))
+    assert g == g2
+    grown = refine(Stage(g, 1), "beta-growth").grid
+    assert grown == refine(Stage(g2, 1), "beta-growth").grid
+    assert grown.nodes.size == 12
+    assert grown.h_max == g.h_max
+
+
+def test_dyadic_split_stops_at_the_snap_windows():
+    st = Stage(Grid.uniform(1e-9, 4), 1)
+    for _ in range(8):
+        st = refine(st, "dyadic-split")
+    with pytest.raises(InvalidArgumentError, match="snap windows"):
+        refine(st, "dyadic-split")
 
 
 def test_degree_raise_doubles_dim_from_p0():

@@ -23,6 +23,14 @@ def test_grid_round_trip():
     assert g == g2
 
 
+@pytest.mark.parametrize("beta", [2.0, 0.5, float("nan")])
+def test_grid_beta_must_match_the_nodes(beta):
+    d = grid_to_dict(Grid.uniform(1.0, 4))
+    d["beta"] = beta
+    with pytest.raises(InvalidArgumentError, match="last node"):
+        grid_from_dict(d)
+
+
 def test_grid_dict_has_contract_keys():
     d = grid_to_dict(Grid.uniform(1.0, 4))
     assert set(d) == {"beta", "nodes"}
