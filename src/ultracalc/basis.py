@@ -2,9 +2,9 @@
 
 For an interior point ``q`` of cell ``j``, the delta member is the
 reproducing kernel of the cell space at ``q``: integrating any member against
-it returns the member's value at ``q``.  At an interior node the kernel is
-the half-sum of the two one-sided kernels, matching the node-average value
-convention; at the support endpoints it is the single one-sided kernel.
+it returns the member's value at ``q``.  At a node, the delta member and the
+one-sided deltas follow the node rule stated in :mod:`ultracalc.space`, so
+pairing with them gives the node value or the side limit.
 
 A full set of ``p + 1`` interior points per cell yields a basis of delta
 members.  Its dual basis consists of cardinal (Lagrange-type) interpolants:
@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IndependenceError, InvalidArgumentError
-from .grid import INTERIOR, PointKind
+from .grid import INTERIOR
 from .space import Side, Space, Ultrafunction
 
 
@@ -42,20 +42,12 @@ def delta_kind(space: Space, q: float, side: Side | None = None) -> DeltaKind:
         if side is not None:
             raise InvalidArgumentError("one-sided deltas exist at nodes only")
         return DeltaKind.INTERIOR
-    j = loc.index
-    if side == "plus":
-        if j >= space.n_cells:
-            raise InvalidArgumentError("no cell to the right of the last node")
-        return DeltaKind.NODE_PLUS
-    if side == "minus":
-        if j <= 0:
-            raise InvalidArgumentError("no cell to the left of the first node")
-        return DeltaKind.NODE_MINUS
-    if j == 0:
-        return DeltaKind.ENDPOINT_LEFT
-    if j == space.n_cells:
-        return DeltaKind.ENDPOINT_RIGHT
-    return DeltaKind.NODE_AVERAGE
+    _, terms = space.node_terms(loc.index, side)  # refuses a side with no cell
+    if side is not None:
+        return DeltaKind.NODE_PLUS if side == "plus" else DeltaKind.NODE_MINUS
+    if len(terms) == 2:
+        return DeltaKind.NODE_AVERAGE
+    return DeltaKind.ENDPOINT_LEFT if loc.index == 0 else DeltaKind.ENDPOINT_RIGHT
 
 
 def delta(space: Space, q: float) -> Ultrafunction:
@@ -63,35 +55,24 @@ def delta(space: Space, q: float) -> Ultrafunction:
     loc = space.grid.locate(q)
     if loc.is_outside:
         raise InvalidArgumentError(f"center {q!r} lies outside the support")
+    if loc.is_node:
+        return _node_delta(space, *space.node_terms(loc.index))
     blocks = np.zeros((space.n_cells, space.block_size))
-    if loc.kind is PointKind.INTERIOR:
-        j = loc.index
-        blocks[j] = space.basis_values(j, q)
-        return Ultrafunction(space, blocks)
-    j = loc.index
-    if j == 0:
-        blocks[0] = space.edge_values(0, "minus")
-    elif j == space.n_cells:
-        blocks[-1] = space.edge_values(space.n_cells - 1, "plus")
-    else:
-        blocks[j - 1] = 0.5 * space.edge_values(j - 1, "plus")
-        blocks[j] = 0.5 * space.edge_values(j, "minus")
+    blocks[loc.index] = space.basis_values(loc.index, q)
     return Ultrafunction(space, blocks)
 
 
 def delta_sided(space: Space, j: int, side: Side) -> Ultrafunction:
     """One-sided delta at node ``j``: pairing yields the one-sided limit."""
-    blocks = np.zeros((space.n_cells, space.block_size))
-    if side == "plus":
-        if not 0 <= j < space.n_cells:
-            raise InvalidArgumentError("plus side unavailable at this node")
-        blocks[j] = space.edge_values(j, "minus")
-    elif side == "minus":
-        if not 0 < j <= space.n_cells:
-            raise InvalidArgumentError("minus side unavailable at this node")
-        blocks[j - 1] = space.edge_values(j - 1, "plus")
-    else:
+    if side is None:
         raise InvalidArgumentError("side must be 'plus' or 'minus'")
+    return _node_delta(space, *space.node_terms(j, side))
+
+
+def _node_delta(space: Space, weight: float, terms) -> Ultrafunction:
+    blocks = np.zeros((space.n_cells, space.block_size))
+    for cell, row in terms:
+        blocks[cell] = weight * row
     return Ultrafunction(space, blocks)
 
 

@@ -4,11 +4,12 @@ Two linear derivative operators act on the space:
 
 * kind ``"D"`` — the generalized derivative: the cellwise classical
   derivative plus, at every interior node, the jump of the function times
-  the node-centered delta member.  The node deltas use the node-average
-  convention, which is exactly what closes integration by parts over the
-  full support, ``pairing(Du, v) = -pairing(u, Dv) + boundary product``,
-  and the fundamental theorem ``integral of Du over [a, b] = u(b) - u(a)``
-  for grid nodes ``a, b`` with no error beyond rounding.
+  the node-centered delta member.  Jumps and node deltas follow the node
+  rule stated in :mod:`ultracalc.space`, which is exactly what closes
+  integration by parts over the full support,
+  ``pairing(Du, v) = -pairing(u, Dv) + boundary product``, and the
+  fundamental theorem ``integral of Du over [a, b] = u(b) - u(a)`` for grid
+  nodes ``a, b`` with no error beyond rounding.
 
 * kind ``"D2"`` — the cellwise derivative alone.  It annihilates every
   piecewise-constant member, but satisfies the piecewise identities whose
@@ -41,20 +42,6 @@ from .space import Space, Ultrafunction
 CONTINUITY_TOL = 1e-12
 
 
-def _edges(space: Space, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right edge values of every cell, for blocks of shape ``(..., ell, n)``.
-
-    ``left[..., j]`` is the plus limit at node ``j`` and ``right[..., j]`` the
-    minus limit at node ``j + 1``, each bit for bit what ``side_value`` gives.
-    The jump at interior node ``i`` is ``left[..., i] - right[..., i - 1]``.
-    """
-    scales = space._scales[:, None]
-    return (
-        np.vecdot(blocks, scales * space._edge_minus),
-        np.vecdot(blocks, scales * space._edge_plus),
-    )
-
-
 @dataclass(frozen=True)
 class DerivOperator:
     """Block-wise derivative on ``space``, applied without a global matrix.
@@ -79,13 +66,12 @@ class DerivOperator:
             # enters there.  A cell's own edge terms are summed before its
             # neighbours' are added: forming the jumps first would round away
             # the neighbours of a narrow cell at p = 0.
-            left, right = _edges(sp, blocks)
+            left, right = sp.edges(blocks)
             across_left = np.concatenate([left[..., :1], right[..., :-1]], axis=-1)
             across_right = np.concatenate([left[..., 1:], right[..., -1:]], axis=-1)
-            minus = sp._scales[:, None] * sp._edge_minus
-            plus = sp._scales[:, None] * sp._edge_plus
-            own = left[..., None] * minus - right[..., None] * plus
-            coupling = across_right[..., None] * plus - across_left[..., None] * minus
+            lrows, rrows = sp.left_rows, sp.right_rows
+            own = left[..., None] * lrows - right[..., None] * rrows
+            coupling = across_right[..., None] * rrows - across_left[..., None] * lrows
             out += 0.5 * (own + coupling)
         return out
 
@@ -154,17 +140,21 @@ def _check_node_range(space: Space, n: int, m: int):
 # ----------------------------------------------------------------------
 
 
+def _ibp_residual(kind: str, u: Ultrafunction, v: Ultrafunction, n: int, m: int, boundary) -> float:
+    """``|integral of (Du) v + integral of u (Dv) - boundary|`` over cells ``n .. m - 1``."""
+    d = derivative_operator(u.space, kind)
+    return abs(integrate_product(d(u), v, n, m) + integrate_product(u, d(v), n, m) - boundary)
+
+
 def ibp_defect(u: Ultrafunction, v: Ultrafunction) -> float:
     """Residual of full-support integration by parts for the generalized derivative.
 
     Returns ``|pairing(Du, v) + pairing(u, Dv) - (u v at beta - u v at -beta)|``
     with one-sided boundary values; zero up to rounding for every pair.
     """
-    sp = u.space
-    d = derivative_operator(sp, "D")
-    ell = sp.n_cells
+    ell = u.space.n_cells
     boundary = u.node_value(ell) * v.node_value(ell) - u.node_value(0) * v.node_value(0)
-    return abs(d.apply(u).inner(v) + u.inner(d.apply(v)) - boundary)
+    return _ibp_residual("D", u, v, 0, ell, boundary)
 
 
 def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
@@ -176,7 +166,7 @@ def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
     """
     sp = u.space
     _check_node_range(sp, n, m)
-    (lu, ru), (lv, rv) = _edges(sp, u.blocks), _edges(sp, v.blocks)
+    (lu, ru), (lv, rv) = sp.edges(u.blocks), sp.edges(v.blocks)
     lo, hi = max(n, 1), min(m, sp.n_cells - 1) + 1  # interior nodes in [n, m]
     jumps = np.abs([lu[lo:hi] - ru[lo - 1 : hi - 1], lv[lo:hi] - rv[lo - 1 : hi - 1]])
     bad = np.flatnonzero(np.max(jumps, axis=0) > CONTINUITY_TOL)
@@ -186,12 +176,7 @@ def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
         )
     if n == m:
         return 0.0
-    d = derivative_operator(sp, "D")
-    du, dv = d.apply(u), d.apply(v)
-    boundary = float(ru[m - 1] * rv[m - 1] - lu[n] * lv[n])
-    return abs(
-        integrate_product(du, v, n, m) + integrate_product(u, dv, n, m) - boundary
-    )
+    return _ibp_residual("D", u, v, n, m, float(ru[m - 1] * rv[m - 1] - lu[n] * lv[n]))
 
 
 def ibp_piecewise_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
@@ -202,13 +187,9 @@ def ibp_piecewise_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> 
     """
     sp = u.space
     _check_node_range(sp, n, m)
-    d2 = derivative_operator(sp, "D2")
-    du, dv = d2.apply(u), d2.apply(v)
-    (lu, ru), (lv, rv) = _edges(sp, u.blocks), _edges(sp, v.blocks)
+    (lu, ru), (lv, rv) = sp.edges(u.blocks), sp.edges(v.blocks)
     boundary = float(np.sum(ru[n:m] * rv[n:m] - lu[n:m] * lv[n:m]))
-    return abs(
-        integrate_product(du, v, n, m) + integrate_product(u, dv, n, m) - boundary
-    )
+    return _ibp_residual("D2", u, v, n, m, boundary)
 
 
 def ftc_piecewise_defect(u: Ultrafunction, n: int, m: int) -> float:
@@ -217,7 +198,7 @@ def ftc_piecewise_defect(u: Ultrafunction, n: int, m: int) -> float:
     _check_node_range(sp, n, m)
     d2 = derivative_operator(sp, "D2")
     lhs = float(np.sum(_cell_integrals(d2.apply(u))[n:m]))
-    left, right = _edges(sp, u.blocks)
+    left, right = sp.edges(u.blocks)
     rhs = float(np.sum(right[n:m] - left[n:m]))
     return abs(lhs - rhs)
 
@@ -230,11 +211,6 @@ def naive_ibp_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> floa
     both members jump at an endpoint node; the defect equals one quarter of
     the difference of the endpoint jump products.
     """
-    sp = u.space
-    _check_node_range(sp, n, m)
-    d = derivative_operator(sp, "D")
-    du, dv = d.apply(u), d.apply(v)
+    _check_node_range(u.space, n, m)
     boundary = u.node_value(m) * v.node_value(m) - u.node_value(n) * v.node_value(n)
-    return abs(
-        integrate_product(du, v, n, m) + integrate_product(u, dv, n, m) - boundary
-    )
+    return _ibp_residual("D", u, v, n, m, boundary)

@@ -21,7 +21,7 @@ from . import basis as bss
 from . import calculus as calc
 from . import serialize as ser
 from .distributions import DistributionSpec, embed, pair as pair_distribution
-from .errors import UltracalcError
+from .errors import InvalidArgumentError, UltracalcError
 from .expr import parse_expression
 from .grid import Grid
 from .projection import DEFAULT_TOL, FunctionHandle, project
@@ -187,23 +187,32 @@ def _cmd_pair(args) -> int:
     return 0
 
 
+def _config_field(config: dict, key: str, convert, default=None):
+    """``convert`` of the config's ``key``; a missing or malformed value is a domain error."""
+    value = config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"refine config: bad {key!r} value {value!r}") from exc
+
+
 def _cmd_refine(args) -> int:
     config = ser.load_json(args.config)
-    base_cfg = config["base"]
+    base_cfg = config.get("base") if isinstance(config, dict) else None
+    if not isinstance(base_cfg, dict):
+        raise InvalidArgumentError("refine config must be a JSON object with a 'base' object")
     base = Stage(
-        Grid.uniform(float(base_cfg["beta"]), int(base_cfg["cells"])),
-        int(base_cfg["degree"]),
+        Grid.uniform(_config_field(base_cfg, "beta", float), _config_field(base_cfg, "cells", int)),
+        _config_field(base_cfg, "degree", int),
     )
     ladder = Ladder.from_base(
         base,
-        int(config["levels"]),
+        _config_field(config, "levels", int),
         config.get("policy", "dyadic-split"),
-        factor=float(config.get("factor", 2.0)),
+        factor=_config_field(config, "factor", float, 2.0),
     )
-    target = config.get("target")
-    rows = ladder.observe(
-        _builtin_observable(args.observe), None if target is None else float(target)
-    )
+    target = _config_field(config, "target", lambda t: None if t is None else float(t))
+    rows = ladder.observe(_builtin_observable(args.observe), target)
     _write_text(_format_table(rows), args.out)
     return 0
 

@@ -31,6 +31,8 @@ from .errors import InvalidArgumentError
 #: Relative half-width of the snap-to-node window.
 SNAP_REL = 2.0 ** -40
 
+_NARROW_CELL = "nodes must be strictly increasing, each cell wider than its two ends' snap windows"
+
 
 class PointKind(Enum):
     INTERIOR = "interior"
@@ -96,9 +98,7 @@ class Grid:
             raise InvalidArgumentError("nodes must be finite and run from -beta to beta > 0")
         window = SNAP_REL * np.maximum(1.0, np.abs(arr))
         if np.any(np.diff(arr) <= window[:-1] + window[1:]):
-            raise InvalidArgumentError(
-                "nodes must be strictly increasing, each cell wider than its two ends' snap windows"
-            )
+            raise InvalidArgumentError(_NARROW_CELL)
         arr.flags.writeable = False
         object.__setattr__(self, "nodes", arr)
 
@@ -121,7 +121,9 @@ class Grid:
         """Grid whose nodes contain ``tags``, gaps filled down to ``h_max``.
 
         Every tag must lie strictly inside ``(-beta, beta)``.  Gaps wider
-        than ``h_max`` are split into the minimal number of equal parts.
+        than ``h_max`` are split into the minimal number of equal parts, which
+        must be wider than the snap windows of the gap's ends; this is checked
+        before any node is made.
         """
         beta = float(beta)
         if not math.isfinite(beta) or beta <= 0.0:
@@ -136,10 +138,14 @@ class Grid:
                     f"tag {t!r} is not strictly inside (-beta, beta)"
                 )
         anchors = [-beta] + tag_list + [beta]
+        gaps = [(a, b, max(1, math.ceil((b - a) / h_max - 1e-12)))
+                for a, b in zip(anchors[:-1], anchors[1:])]
+        for a, b, parts in gaps:
+            if (b - a) / parts <= SNAP_REL * (max(1.0, abs(a)) + max(1.0, abs(b))):
+                raise InvalidArgumentError(_NARROW_CELL)
         nodes: list[float] = [anchors[0]]
-        for a, b in zip(anchors[:-1], anchors[1:]):
+        for a, b, parts in gaps:
             gap = b - a
-            parts = max(1, math.ceil(gap / h_max - 1e-12))
             for i in range(1, parts):
                 nodes.append(a + gap * i / parts)
             nodes.append(b)

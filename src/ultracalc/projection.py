@@ -55,6 +55,8 @@ from .space import Space, Ultrafunction
 
 DEFAULT_TOL = 1e-12
 MAX_SUBDIVISIONS = 60
+#: block norm below which ``compare_ae`` counts a projected difference as zero
+AE_COEFF_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class FunctionHandle:
 
     An empty ``singular`` tuple asserts the function is bounded on every
     cell; otherwise it is integrable with singularities exactly at the
-    listed points.
+    listed points, which must be finite.
 
     ``array`` is the same function on a whole float array, element by element
     equal to ``fn``; quadrature calls only it, once per batch of points.  It
@@ -77,6 +79,8 @@ class FunctionHandle:
     array: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if not all(math.isfinite(s) for s in self.singular):
+            raise InvalidArgumentError(f"singular points must be finite, got {self.singular!r}")
         if self.array is None:
             object.__setattr__(self, "array", getattr(self.fn, "array", _per_point(self.fn)))
 
@@ -331,12 +335,11 @@ def compare_ae(
     region: tuple[float, float],
     *,
     tol: float = DEFAULT_TOL,
-    coeff_tol: float = 1e-10,
 ) -> bool:
     """Whether ``f`` and ``g`` agree almost everywhere on ``region``.
 
     True iff the projection of ``f - g`` has every block of the cells
-    contained in ``region`` below ``coeff_tol`` in norm; pointwise changes on
+    contained in ``region`` below ``AE_COEFF_TOL`` in norm; pointwise changes on
     a null set are invisible to the projection.
     """
     fh, gh = as_handle(f), as_handle(g)
@@ -350,7 +353,7 @@ def compare_ae(
     d = project(space, diff, tol=tol)
     nodes = space.grid.nodes
     inside = (nodes[:-1] >= lo) & (nodes[1:] <= hi)
-    return not np.any(np.linalg.norm(d.blocks[inside], axis=1) > coeff_tol)
+    return not np.any(np.linalg.norm(d.blocks[inside], axis=1) > AE_COEFF_TOL)
 
 
 def locality_residual(

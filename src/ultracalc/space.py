@@ -12,10 +12,14 @@ exactly zero, never merely small.
 
 Pointwise conventions
 ---------------------
-Members are polynomials inside each open cell.  At an interior node the value
-is the average of the two one-sided limits; at ``-beta`` and ``beta`` it is
-the one-sided limit from the single adjacent cell; outside ``[-beta, beta]``
-every member is zero.
+Members are polynomials inside each open cell and zero outside
+``[-beta, beta]``.  A block dotted with its cell's scaled left (right) edge
+row is the plus (minus) limit at the cell's left (right) node.  The value at
+a node averages the limits that exist: ``0.5 * (minus + plus)`` inside, the
+one-sided limit at ``-beta`` and ``beta``.  :meth:`Space.node_terms` states
+this rule once for node values, side limits, jumps and node deltas;
+:meth:`Space.edges`, ``D`` and :meth:`Ultrafunction.sample` read the edge
+rows of all cells at once.
 
 All inner products and integrals use the per-cell Gauss rule with ``p + 2``
 points, exact for polynomial integrands of degree up to ``2p + 3``.
@@ -68,8 +72,8 @@ class Space:
         "_quad_w",
         "_quad_vals",
         "_deriv_ref",
-        "_edge_minus",
-        "_edge_plus",
+        "left_rows",
+        "right_rows",
         "_widths",
         "_mids",
         "_scales",
@@ -93,12 +97,16 @@ class Space:
         object.__setattr__(self, "_quad_vals", np.ascontiguousarray(vals.T))
         # reference derivative coupling: ref[m, k] = integral of e_m * e_k'
         object.__setattr__(self, "_deriv_ref", (vals * w) @ dvals.T)
-        object.__setattr__(self, "_edge_minus", npoly.polyval(-1.0, coeffs.T))
-        object.__setattr__(self, "_edge_plus", npoly.polyval(1.0, coeffs.T))
         widths = grid.widths()
+        scales = np.sqrt(2.0 / widths)
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_mids", 0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
-        object.__setattr__(self, "_scales", np.sqrt(2.0 / widths))
+        object.__setattr__(self, "_scales", scales)
+        # edge rows (ell, n): row j is the cell-j basis at its left / right end
+        for name, t in (("left_rows", -1.0), ("right_rows", 1.0)):
+            rows = scales[:, None] * npoly.polyval(t, coeffs.T)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Space is immutable")
@@ -153,10 +161,36 @@ class Space:
         vals = np.ascontiguousarray(np.moveaxis(npoly.polyval(t, self._coeffs.T), 0, -1))
         return self._scales[cells][:, None, None] * vals
 
-    def edge_values(self, j: int, side: Side) -> np.ndarray:
-        """One-sided basis values of cell ``j`` at its left (minus) or right edge."""
-        ref = self._edge_minus if side == "minus" else self._edge_plus
-        return self._scales[j] * ref
+    def edges(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right edge values of every cell, for blocks of shape ``(..., ell, n)``.
+
+        ``left[..., j]`` is the plus limit at node ``j`` and ``right[..., j]``
+        the minus limit at node ``j + 1``, bit for bit as in :meth:`node_terms`.
+        """
+        return np.vecdot(blocks, self.left_rows), np.vecdot(blocks, self.right_rows)
+
+    def node_terms(self, j: int, side: Side | None = None):
+        """The node rule: ``(weight, ((cell, row), ...))`` for node ``j``.
+
+        A member's minus or plus limit at node ``j`` (``side``), or its node
+        value (``None``), is ``weight`` times the sum, in order, of its
+        blocks of the given cells dotted with their edge rows.  Raises when
+        ``j`` is not a node index or ``side`` has no cell.
+        """
+        ell = self.n_cells
+        if not (isinstance(j, (int, np.integer)) and 0 <= j <= ell):
+            raise InvalidArgumentError(f"node index must be an integer in [0, {ell}], got {j}")
+        if side is None and 0 < j < ell:
+            return 0.5, ((j - 1, self.right_rows[j - 1]), (j, self.left_rows[j]))
+        if side is None:  # at -beta or beta only one limit exists
+            side = "plus" if j == 0 else "minus"
+        if side == "plus" and j < ell:
+            return 1.0, ((j, self.left_rows[j]),)
+        if side == "minus" and j > 0:
+            return 1.0, ((j - 1, self.right_rows[j - 1]),)
+        if side not in ("plus", "minus"):
+            raise InvalidArgumentError("side must be 'plus' or 'minus'")
+        raise InvalidArgumentError(f"no cell on the {side} side of node {j}")
 
     def _product_integral(self, a, b) -> float:
         """Integral of the product of two members' blocks ``a`` and ``b`` over their cells.
@@ -171,9 +205,6 @@ class Space:
     # ------------------------------------------------------------------
     # members
     # ------------------------------------------------------------------
-
-    def member(self, blocks) -> "Ultrafunction":
-        return Ultrafunction(self, blocks)
 
     def zero(self) -> "Ultrafunction":
         return Ultrafunction(self, np.zeros((self.n_cells, self.block_size)))
@@ -250,38 +281,31 @@ class Ultrafunction:
 
     def node_value(self, j: int) -> float:
         """Value at node ``j``: one-sided at the endpoints, average inside."""
-        ell = self.space.n_cells
-        if j == 0:
-            return self.side_value(0, "plus")
-        if j == ell:
-            return self.side_value(ell, "minus")
-        return 0.5 * (self.side_value(j, "minus") + self.side_value(j, "plus"))
+        return self._at_node(*self.space.node_terms(j))
 
     def side_value(self, j: int, side: Side) -> float:
         """One-sided limit at node ``j`` from the adjacent cell."""
-        ell = self.space.n_cells
-        if side == "plus":
-            if j >= ell:
-                raise InvalidArgumentError("no cell to the right of the last node")
-            return float(self.blocks[j] @ self.space.edge_values(j, "minus"))
-        if side == "minus":
-            if j <= 0:
-                raise InvalidArgumentError("no cell to the left of the first node")
-            return float(self.blocks[j - 1] @ self.space.edge_values(j - 1, "plus"))
-        raise InvalidArgumentError("side must be 'plus' or 'minus'")
+        if side is None:
+            raise InvalidArgumentError("side must be 'plus' or 'minus'")
+        return self._at_node(*self.space.node_terms(j, side))
+
+    def _at_node(self, weight: float, terms) -> float:
+        values = [float(self.blocks[c] @ row) for c, row in terms]
+        # exactly ``minus + plus``: sum() would add a 0 start and, from Python
+        # 3.12, a compensation term
+        return weight * (values[0] + values[1] if len(values) == 2 else values[0])
 
     def jump(self, j: int) -> float:
-        """Jump at interior node ``j``: plus limit minus minus limit."""
-        if not 0 < j < self.space.n_cells:
-            raise InvalidArgumentError("jumps are defined at interior nodes only")
+        """Jump at interior node ``j``: plus limit minus minus limit (end nodes are refused)."""
         return self.side_value(j, "plus") - self.side_value(j, "minus")
 
     def sample(self, xs) -> np.ndarray:
         """Values at every point of ``xs``, bit for bit those of :meth:`__call__`.
 
         One :meth:`Grid.classify` call sorts the points; interior points are
-        evaluated with one batched basis evaluation, node points take their
-        edge values as :meth:`node_value` does, and outside points give 0.
+        evaluated with one batched basis evaluation, node points combine
+        their edge rows' values as :meth:`Space.node_terms` prescribes, and
+        outside points give 0.
         """
         sp = self.space
         x = np.asarray(xs, dtype=float).reshape(-1)
@@ -295,8 +319,8 @@ class Ultrafunction:
         j = index[at]
         ell = sp.n_cells
         left, right = np.maximum(j - 1, 0), np.minimum(j, ell - 1)
-        minus = np.vecdot(self.blocks[left], sp._scales[left, None] * sp._edge_plus)
-        plus = np.vecdot(self.blocks[right], sp._scales[right, None] * sp._edge_minus)
+        minus = np.vecdot(self.blocks[left], sp.right_rows[left])
+        plus = np.vecdot(self.blocks[right], sp.left_rows[right])
         out[at] = np.where(j == 0, plus, np.where(j == ell, minus, 0.5 * (minus + plus)))
         return out
 
@@ -348,9 +372,6 @@ class Ultrafunction:
     def coefficients(self) -> np.ndarray:
         """Flat coefficient vector in cell-major order."""
         return self.blocks.reshape(-1)
-
-    def block(self, j: int) -> np.ndarray:
-        return self.blocks[j]
 
     def restrict(self, a: float, b: float) -> "Ultrafunction":
         """Multiply by the characteristic function of ``[a, b]``, ``a, b`` nodes."""

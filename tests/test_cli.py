@@ -429,6 +429,27 @@ def test_refine_beta_growth_policy(tmp_path):
     assert cp.stdout.splitlines()[0] == "level,value,error,order"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],
+        "ladder",
+        {"base": 3, "levels": 3},
+        {"base": {"beta": 1.0, "cells": 4, "degree": 1}, "levels": "x"},
+        {"levels": 3},
+        {"base": {"beta": 1.0, "degree": 1}, "levels": 3},
+    ],
+    ids=["array", "string", "base-3", "levels-x", "no-base", "no-cells"],
+)
+def test_malformed_refine_config_is_domain_error(tmp_path, capsys, config):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["refine", "--config", str(path), "--observe", "proj-error:sin(x)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refine config" in captured.err
+
+
 def test_export_op_json(space_file):
     cp = run_cli("export-op", "--space", str(space_file), "--kind", "D2", "--format", "json")
     assert cp.returncode == 0, cp.stderr
@@ -474,6 +495,25 @@ def test_singular_node_fails_with_quadrature_error():
     assert cp.returncode == 1
     assert "quadrature" in cp.stderr
     assert "ZeroDivisionError" not in cp.stderr
+
+
+@pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command", [["project", "--fn", "sin(x)"], ["embed", "--k", "1", "--fn", "x"]], ids=["project", "embed"]
+)
+def test_non_finite_singular_point_is_domain_error(capsys, command, point):
+    assert cli.main([*command, f"--singular=0.5,{point}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "singular points must be finite" in captured.err
+
+
+def test_fill_bound_below_the_snap_windows_is_domain_error(capsys):
+    # refused before the 2 * 10**13 fill nodes are made
+    assert cli.main(["grid", "--beta", "1", "--hmax", "1e-13"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "snap windows" in captured.err
 
 
 def test_delta_at_nan_is_domain_error(space_file):

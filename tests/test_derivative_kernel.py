@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultracalc import Grid, Space, Ultrafunction, derivative_operator
-from ultracalc.calculus import _edges
 
 from strategies import grids
 
@@ -34,8 +33,8 @@ def reference_matrix(space: Space, kind: str) -> np.ndarray:
         return mat
     jump_mat = np.zeros((space.dim, space.dim))
     for j in range(1, space.n_cells):
-        left = space.edge_values(j - 1, "plus")
-        right = space.edge_values(j, "minus")
+        left = space.right_rows[j - 1]
+        right = space.left_rows[j]
         row = np.zeros(space.dim)
         row[(j - 1) * n : j * n] = -left
         row[j * n : (j + 1) * n] = right
@@ -81,7 +80,7 @@ def test_dense_views_match_reference(space):
 def test_edge_values_are_side_values(space, seed):
     rng = np.random.default_rng(seed)
     u = Ultrafunction(space, rng.standard_normal((space.n_cells, space.block_size)))
-    left, right = _edges(space, u.blocks)
+    left, right = space.edges(u.blocks)
     ell = space.n_cells
     np.testing.assert_array_equal(bits(left), bits([u.side_value(j, "plus") for j in range(ell)]))
     np.testing.assert_array_equal(

@@ -184,8 +184,12 @@ def test_cell_inside_the_snap_windows_is_refused():
         lambda: Grid.with_tags(1.0, [0.0, 1e-300], 1.0),
         lambda: Grid.uniform(1e-13, 4),
         lambda: Grid([-1.0, 1.0 - 2.0**-40, 1.0]),
+        # fill cells narrower than the windows: refused before ~10**13 nodes are made
+        lambda: Grid.with_tags(1.0, [], 1e-13),
+        lambda: Grid.with_tags(1e6, [0.0], 1e-7),
     ],
-    ids=["tags-within-the-windows", "uniform-beta-1e-13", "last-cell"],
+    ids=["tags-within-the-windows", "uniform-beta-1e-13", "last-cell",
+         "fill-bound-1e-13", "tagged-fill-bound-1e-7"],
 )
 def test_grids_finer_than_the_snap_windows_are_refused(build):
     with pytest.raises(InvalidArgumentError, match="snap windows"):
@@ -199,3 +203,7 @@ def test_gap_just_wider_than_both_windows_is_accepted():
     assert np.all(np.isfinite(2.0 / g.widths()))
     with pytest.raises(InvalidArgumentError, match="snap windows"):
         Grid([-1.0, 0.0, 2.0**-39, 1.0])
+    # with_tags checks a gap before it makes nodes, by the same bound
+    assert Grid.with_tags(1.0, [0.0, math.nextafter(2.0**-39, 1.0)], 1.0) == g
+    with pytest.raises(InvalidArgumentError, match="snap windows"):
+        Grid.with_tags(1.0, [0.0, 2.0**-39], 1.0)

@@ -540,3 +540,9 @@ def test_high_degree_panel_rule_reproduces_polynomials(p):
     coeffs = np.random.default_rng(p).uniform(-1.0, 1.0, size=p + 1)
     u = project(sp, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs)))
     assert np.max(np.abs(u.blocks - sp.from_polynomial(coeffs).blocks)) <= 1e-10
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_singular_point_is_refused(s):
+    with pytest.raises(InvalidArgumentError, match="singular points must be finite"):
+        FunctionHandle(math.sin, (0.0, s))
