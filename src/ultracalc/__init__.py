@@ -51,7 +51,7 @@ from .projection import (
     project,
     project_via_basis,
 )
-from .refinement import Ladder, ObservationRow, Stage, refine
+from .refinement import Ladder, ObservationRow, refine
 from .space import SplittedBasis, Space, Ultrafunction
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "QuadratureError",
     "SplittedBasis",
     "Space",
-    "Stage",
     "Ultrafunction",
     "UltracalcError",
     "basis_pair",

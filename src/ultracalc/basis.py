@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IndependenceError, InvalidArgumentError
-from .grid import INTERIOR
+from .grid import PointKind
 from .space import Side, Space, Ultrafunction
 
 
@@ -196,7 +196,7 @@ def basis_pair(space: Space, points=None) -> BasisPair:
         )
     ell, n = space.n_cells, space.block_size
     kind, index = space.grid.classify(pts)
-    off = np.flatnonzero(kind != INTERIOR)
+    off = np.flatnonzero(kind != PointKind.INTERIOR)
     if off.size:
         raise IndependenceError(
             f"point {pts[off[0]]!r} is not interior to a cell; nodes are not allowed"

@@ -25,7 +25,7 @@ from .errors import InvalidArgumentError, UltracalcError
 from .expr import parse_expression
 from .grid import Grid
 from .projection import DEFAULT_TOL, FunctionHandle, project
-from .refinement import Ladder, Stage
+from .refinement import Ladder
 from .space import Space
 from .verify import SUITE_NAMES, format_report, run_suites
 
@@ -177,12 +177,11 @@ def _cmd_pair(args) -> int:
         ),
     )
 
-    def observable(stage: Stage) -> float:
-        st_space = stage.space()
-        t = embed(st_space, spec, tol=args.tol)
-        return pair_distribution(st_space, t, phi, tol=args.tol)
+    def observable(sp: Space) -> float:
+        t = embed(sp, spec, tol=args.tol)
+        return pair_distribution(sp, t, phi, tol=args.tol)
 
-    ladder = Ladder.from_base(Stage(space.grid, space.degree), args.refine, "dyadic-split")
+    ladder = Ladder.from_base(space, args.refine, "dyadic-split")
     _write_text(_format_table(ladder.observe(observable)), args.out)
     return 0
 
@@ -201,7 +200,7 @@ def _cmd_refine(args) -> int:
     base_cfg = config.get("base") if isinstance(config, dict) else None
     if not isinstance(base_cfg, dict):
         raise InvalidArgumentError("refine config must be a JSON object with a 'base' object")
-    base = Stage(
+    base = Space(
         Grid.uniform(_config_field(base_cfg, "beta", float), _config_field(base_cfg, "cells", int)),
         _config_field(base_cfg, "degree", int),
     )
@@ -233,8 +232,7 @@ def _builtin_observable(label: str):
     if label.startswith("proj-error:"):
         fn = parse_expression(label.split(":", 1)[1])
 
-        def observable(stage: Stage) -> float:
-            space = stage.space()
+        def observable(space: Space) -> float:
             return l2_error(fn, project(space, fn))
 
         return observable
@@ -244,8 +242,8 @@ def _builtin_observable(label: str):
         fn = parse_expression(expr)
         x0 = float(at)
 
-        def observable(stage: Stage) -> float:
-            return project(stage.space(), fn)(x0)
+        def observable(space: Space) -> float:
+            return project(space, fn)(x0)
 
         return observable
     raise UltracalcError(
@@ -439,6 +437,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(f"ultracalc: i/o error: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("ultracalc: error: out of memory; ask for fewer cells or points\n")
         return 1
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -34,14 +34,12 @@ SNAP_REL = 2.0 ** -40
 _NARROW_CELL = "nodes must be strictly increasing, each cell wider than its two ends' snap windows"
 
 
-class PointKind(Enum):
-    INTERIOR = "interior"
-    NODE = "node"
-    OUTSIDE = "outside"
+class PointKind(IntEnum):
+    """Kind of a point against a grid; :meth:`Grid.classify` returns these codes."""
 
-
-#: Kind codes of :meth:`Grid.classify`.
-INTERIOR, NODE, OUTSIDE = 0, 1, 2
+    INTERIOR = 0
+    NODE = 1
+    OUTSIDE = 2
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,6 @@ class PointClass:
 
     kind: PointKind
     index: int | None
-
-    @classmethod
-    def interior(cls, j: int) -> "PointClass":
-        return cls(PointKind.INTERIOR, j)
-
-    @classmethod
-    def node(cls, j: int) -> "PointClass":
-        return cls(PointKind.NODE, j)
-
-    @classmethod
-    def outside(cls) -> "PointClass":
-        return cls(PointKind.OUTSIDE, None)
 
     @property
     def is_interior(self) -> bool:
@@ -131,25 +117,31 @@ class Grid:
         h_max = float(h_max)
         if not math.isfinite(h_max) or h_max <= 0.0:
             raise InvalidArgumentError("h_max must be a positive finite number")
-        tag_list = sorted({float(t) for t in tags})
-        for t in tag_list:
-            if not (-beta < t < beta):
-                raise InvalidArgumentError(
-                    f"tag {t!r} is not strictly inside (-beta, beta)"
-                )
-        anchors = [-beta] + tag_list + [beta]
-        gaps = [(a, b, max(1, math.ceil((b - a) / h_max - 1e-12)))
-                for a, b in zip(anchors[:-1], anchors[1:])]
-        for a, b, parts in gaps:
-            if (b - a) / parts <= SNAP_REL * (max(1.0, abs(a)) + max(1.0, abs(b))):
-                raise InvalidArgumentError(_NARROW_CELL)
-        nodes: list[float] = [anchors[0]]
-        for a, b, parts in gaps:
+        tags = np.sort(np.fromiter(tags, dtype=float), kind="stable")
+        outside = ~((-beta < tags) & (tags < beta))
+        if outside.any():
+            raise InvalidArgumentError(
+                f"tag {float(tags[np.argmax(outside)])!r} is not strictly inside (-beta, beta)"
+            )
+        anchors = np.concatenate(([-beta], tags, [beta]))
+        # the stable sort keeps the first of equal tags, as a set would (-0.0, 0.0)
+        anchors = anchors[np.append(True, anchors[1:] != anchors[:-1])]
+        a, b = anchors[:-1], anchors[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
             gap = b - a
-            for i in range(1, parts):
-                nodes.append(a + gap * i / parts)
-            nodes.append(b)
-        return cls(nodes)
+            window = SNAP_REL * (np.maximum(1.0, np.abs(a)) + np.maximum(1.0, np.abs(b)))
+            parts = np.maximum(1.0, np.ceil(gap / h_max - 1e-12))
+            # negated so that an overflowed gap or part count (nan, inf) is
+            # refused too; a passed check bounds parts below 2**40
+            wide = gap / parts > window
+        if not wide.all():
+            raise InvalidArgumentError(_NARROW_CELL)
+        counts = parts.astype(np.int64)
+        first = np.cumsum(counts) - counts
+        i = np.arange(first[-1] + counts[-1]) - np.repeat(first, counts)
+        nodes = np.repeat(a, counts) + np.repeat(gap, counts) * i / np.repeat(parts, counts)
+        nodes[first] = a  # the anchors exactly: a + 0.0 would turn -0.0 into 0.0
+        return cls(np.append(nodes, beta))
 
     # ------------------------------------------------------------------
     # queries
@@ -199,18 +191,17 @@ class Grid:
                     best = (j, d)
         j, d = best
         if d <= SNAP_REL * max(1.0, abs(nodes[j])):
-            return PointClass.node(j)
+            return PointClass(PointKind.NODE, j)
         if x < nodes[0] or x > nodes[-1]:
-            return PointClass.outside()
-        return PointClass.interior(min(i - 1, self.n_cells - 1))
+            return PointClass(PointKind.OUTSIDE, None)
+        return PointClass(PointKind.INTERIOR, min(i - 1, self.n_cells - 1))
 
     def classify(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Classify every point of ``xs`` at once.
 
         Returns ``(kind, index)``, arrays of the shape of ``xs``: ``kind``
-        holds the codes :data:`INTERIOR`, :data:`NODE` or :data:`OUTSIDE`,
-        and ``index`` the cell or node index (``-1`` outside).  Entry ``k``
-        agrees with :meth:`locate` at ``xs[k]``.
+        holds :class:`PointKind` codes and ``index`` the cell or node index
+        (``-1`` outside).  Entry ``k`` agrees with :meth:`locate` at ``xs[k]``.
         """
         x = np.asarray(xs, dtype=float)
         if np.isnan(x).any():
@@ -227,7 +218,8 @@ class Grid:
         node = d <= SNAP_REL * np.maximum(1.0, np.abs(nodes[j]))
         outside = ~node & ((x < nodes[0]) | (x > nodes[-1]))
         cell = np.minimum(i - 1, self.n_cells - 1)
-        kind = np.where(node, NODE, np.where(outside, OUTSIDE, INTERIOR))
+        kind = np.where(node, PointKind.NODE,
+                        np.where(outside, PointKind.OUTSIDE, PointKind.INTERIOR))
         index = np.where(node, j, np.where(outside, -1, cell))
         return kind, index
 

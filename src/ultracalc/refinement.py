@@ -1,10 +1,10 @@
 """Refinement ladders: directed stages with monotone grid and degree growth.
 
-A stage bundles a grid and a polynomial degree.  The three refinement
-policies preserve every existing node, so the node sets of a ladder form a
-chain under inclusion, the support half-width never shrinks and the cell
-bound never grows.  Observables evaluated along a ladder yield convergence
-tables with dyadic-ratio order estimates.
+A stage is a :class:`Space`: a grid and a polynomial degree.  The three
+refinement policies preserve every existing node, so the node sets of a
+ladder form a chain under inclusion, the support half-width never shrinks
+and the cell bound never grows.  Observables evaluated along a ladder yield
+convergence tables with dyadic-ratio order estimates.
 
 This is the honest finite shadow of a limit over ever-finer configurations:
 the ladder only ever exhibits finitely many stages and measured rates; no
@@ -26,18 +26,7 @@ from .space import Space
 POLICIES = ("dyadic-split", "beta-growth", "degree-raise")
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One rung of a refinement ladder."""
-
-    grid: Grid
-    degree: int
-
-    def space(self) -> Space:
-        return Space(self.grid, self.degree)
-
-
-def refine(stage: Stage, policy: str, *, factor: float = 2.0) -> Stage:
+def refine(space: Space, policy: str, *, factor: float = 2.0) -> Space:
     """Produce the next stage under the given growth policy.
 
     ``dyadic-split`` halves every cell; ``beta-growth`` widens the support
@@ -45,25 +34,18 @@ def refine(stage: Stage, policy: str, *, factor: float = 2.0) -> Stage:
     old cell; ``degree-raise`` increments the polynomial degree on the same
     grid.
     """
-    g = stage.grid
+    g = space.grid
     if policy == "dyadic-split":
         mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
         nodes = np.sort(np.concatenate([g.nodes, mids]))
-        return Stage(Grid(nodes), stage.degree)
+        return Space(Grid(nodes), space.degree)
     if policy == "beta-growth":
         if not factor > 1.0:
             raise InvalidArgumentError("beta-growth requires factor > 1")
-        new_beta = g.beta * factor
-        extension = new_beta - g.beta
-        parts = max(1, math.ceil(extension / g.h_max - 1e-12))
-        step = extension / parts
-        right = g.beta + step * np.arange(1, parts + 1)
-        right[-1] = new_beta
-        left = -right[::-1]
-        nodes = np.concatenate([left, g.nodes, right])
-        return Stage(Grid(nodes), stage.degree)
+        # no old gap exceeds h_max, so only the two new outer gaps are filled
+        return Space(Grid.with_tags(factor * g.beta, g.nodes, g.h_max), space.degree)
     if policy == "degree-raise":
-        return Stage(g, stage.degree + 1)
+        return Space(g, space.degree + 1)
     raise InvalidArgumentError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
@@ -92,7 +74,7 @@ class Ladder:
 
     @classmethod
     def from_base(
-        cls, base: Stage, levels: int, policy: str, *, factor: float = 2.0
+        cls, base: Space, levels: int, policy: str, *, factor: float = 2.0
     ) -> "Ladder":
         if levels < 1:
             raise InvalidArgumentError("need at least one level")
@@ -102,7 +84,7 @@ class Ladder:
         return cls(stages)
 
     def observe(
-        self, fn: Callable[[Stage], float], target: float | None = None
+        self, fn: Callable[[Space], float], target: float | None = None
     ) -> list[ObservationRow]:
         """Evaluate the observable ``fn`` on every stage and estimate convergence orders.
 
@@ -115,7 +97,7 @@ class Ladder:
             raise InsufficientDataError(
                 "order estimation needs at least three stages"
             )
-        values = [float(fn(stage)) for stage in self.stages]
+        values = [float(fn(space)) for space in self.stages]
         if target is not None:
             errors: list[float | None] = [abs(v - target) for v in values]
         else:

@@ -36,7 +36,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidArgumentError
-from .grid import INTERIOR, NODE, Grid, PointKind
+from .grid import Grid, PointKind
 
 Side = Literal["plus", "minus"]
 
@@ -311,11 +311,11 @@ class Ultrafunction:
         x = np.asarray(xs, dtype=float).reshape(-1)
         kind, index = sp.grid.classify(x)
         out = np.zeros(x.size)
-        inside = kind == INTERIOR
+        inside = kind == PointKind.INTERIOR
         cells = index[inside]
         vals = sp.cell_basis_values(cells, x[inside, None])[:, 0]
         out[inside] = np.vecdot(self.blocks[cells], vals)
-        at = kind == NODE
+        at = kind == PointKind.NODE
         j = index[at]
         ell = sp.n_cells
         left, right = np.maximum(j - 1, 0), np.minimum(j, ell - 1)
@@ -415,7 +415,10 @@ class SplittedBasis:
                 yield self.element(j, k)
 
     def gram_matrix(self) -> np.ndarray:
-        """Pairwise inner products: one reference block per cell (identity up to rounding)."""
+        """Inner products within one cell, ``(p + 1, p + 1)`` (identity up to rounding).
+
+        Every cell has this block, and elements of different cells are
+        exactly orthogonal, so the full Gram matrix is ``kron(eye(ell), block)``.
+        """
         sp = self.space
-        ref = np.einsum("ik,im,i->km", sp._quad_vals, sp._quad_vals, sp._quad_w)
-        return np.kron(np.eye(sp.n_cells), ref)
+        return np.einsum("ik,im,i->km", sp._quad_vals, sp._quad_vals, sp._quad_w)

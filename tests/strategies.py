@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import reject
 from hypothesis import strategies as st
 
-from ultracalc import Grid, InvalidArgumentError, Stage, refine
+from ultracalc import Grid, InvalidArgumentError, Space, refine
 from ultracalc.grid import SNAP_REL
 
 
@@ -26,6 +26,15 @@ def assert_a_cell_is_within_the_snap_windows(nodes: np.ndarray) -> None:
 
 
 @st.composite
+def tag_lists(draw, bound: float = 0.99):
+    """Tags in ``[-bound, bound]`` in any order: the list may be empty, and
+    tags may repeat (``0.0`` and ``-0.0`` count as one tag)."""
+    tags = draw(st.lists(st.floats(-bound, bound), max_size=6))
+    repeats = draw(st.lists(st.sampled_from(tags), max_size=3)) if tags else []
+    return draw(st.permutations(tags + repeats))
+
+
+@st.composite
 def grids(draw):
     """Tagged grids on ``[-beta, beta]``, then up to three dyadic splits.
 
@@ -34,7 +43,7 @@ def grids(draw):
     to hold a cell within the snap windows before it is rejected.
     """
     beta = 10.0 ** draw(st.floats(-12.0, 12.0))
-    tags = [beta * t for t in draw(st.lists(st.floats(-0.99, 0.99), max_size=6))]
+    tags = [beta * t for t in draw(tag_lists())]
     levels = draw(st.integers(0, 3))
     fill = 2.0 * beta / draw(st.integers(1, 64 >> levels))
     try:
@@ -44,7 +53,7 @@ def grids(draw):
         reject()
     for _ in range(levels):
         try:
-            grid = refine(Stage(grid, 0), "dyadic-split").grid
+            grid = refine(Space(grid, 0), "dyadic-split").grid
         except InvalidArgumentError:
             mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
             assert_a_cell_is_within_the_snap_windows(np.sort(np.concatenate([grid.nodes, mids])))

@@ -16,7 +16,6 @@ from ultracalc import (
     FunctionHandle,
     Grid,
     Space,
-    Stage,
     Ultrafunction,
     basis_pair,
     delta,
@@ -318,13 +317,12 @@ def test_distribution_embedding():
     orders_ok = True
     order_details = []
     for name, (spec, reference) in targets.items():
-        stage = Stage(Grid.with_tags(1.0, [0.1], 0.28), 2)
+        sp = Space(Grid.with_tags(1.0, [0.1], 0.28), 2)
         errs = []
         for _ in range(4):
-            st_space = stage.space()
-            t = embed(st_space, spec)
-            errs.append(abs(pair(st_space, t, bump) - reference))
-            stage = refine(stage, "dyadic-split")
+            t = embed(sp, spec)
+            errs.append(abs(pair(sp, t, bump) - reference))
+            sp = refine(sp, "dyadic-split")
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
         order_details.append(f"{name} orders {['%.2f' % o for o in orders]}")
         orders_ok = orders_ok and all(o > 0.0 for o in orders)

@@ -516,6 +516,18 @@ def test_fill_bound_below_the_snap_windows_is_domain_error(capsys):
     assert "snap windows" in captured.err
 
 
+def test_out_of_memory_is_domain_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_build_grid", exhausted)
+    assert cli.main(["grid", "--beta", "1", "--hmax", "2e-12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ultracalc: error: out of memory")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_delta_at_nan_is_domain_error(space_file):
     cp = run_cli("delta", "--space", str(space_file), "--at", "nan")
     assert cp.returncode == 1

@@ -10,7 +10,6 @@ from ultracalc import (
     InvalidArgumentError,
     PreconditionError,
     Space,
-    Stage,
     Ultrafunction,
     delta,
     embed,
@@ -155,13 +154,12 @@ def test_spec_rejects_negative_order():
 
 
 def _pairing_errors(spec, reference, levels=4):
-    stage = Stage(Grid.with_tags(1.0, [0.1], 0.28), 2)
+    sp = Space(Grid.with_tags(1.0, [0.1], 0.28), 2)
     errs = []
     for _ in range(levels):
-        sp = stage.space()
         t = embed(sp, spec)
         errs.append(abs(pair(sp, t, bump) - reference))
-        stage = refine(stage, "dyadic-split")
+        sp = refine(sp, "dyadic-split")
     return errs
 
 

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ultracalc import Grid, InvalidArgumentError, PointClass, PointKind
-from ultracalc.grid import INTERIOR, NODE, OUTSIDE
+from ultracalc.grid import _NARROW_CELL, SNAP_REL
+
+from strategies import tag_lists, tagged_nodes
 
 
 def test_uniform_nodes():
@@ -161,13 +165,14 @@ def test_infinities_lie_outside():
     for x in (-math.inf, math.inf):
         assert g.locate(x).is_outside
     kind, index = g.classify([-math.inf, math.inf])
-    assert kind.tolist() == [OUTSIDE, OUTSIDE] and index.tolist() == [-1, -1]
+    assert kind.tolist() == [PointKind.OUTSIDE] * 2 and index.tolist() == [-1, -1]
 
 
 def test_classify_codes():
     g = Grid.uniform(1.0, 4)
     kind, index = g.classify([0.25, 0.5, 7.0, -1.0, 0.5 + 2.0**-42])
-    assert kind.tolist() == [INTERIOR, NODE, OUTSIDE, NODE, NODE]
+    I, N, O = PointKind.INTERIOR, PointKind.NODE, PointKind.OUTSIDE
+    assert kind.tolist() == [I, N, O, N, N]
     assert index.tolist() == [2, 3, -1, 0, 3]
 
 
@@ -207,3 +212,53 @@ def test_gap_just_wider_than_both_windows_is_accepted():
     assert Grid.with_tags(1.0, [0.0, math.nextafter(2.0**-39, 1.0)], 1.0) == g
     with pytest.raises(InvalidArgumentError, match="snap windows"):
         Grid.with_tags(1.0, [0.0, 2.0**-39], 1.0)
+
+
+def loop_with_tags(beta, tags, h_max):
+    """``Grid.with_tags`` as loops over the tags and gaps: the reference."""
+    beta, h_max = float(beta), float(h_max)
+    tag_list = sorted({float(t) for t in tags})
+    for t in tag_list:
+        if not (-beta < t < beta):
+            raise InvalidArgumentError(f"tag {t!r} is not strictly inside (-beta, beta)")
+    anchors = [-beta] + tag_list + [beta]
+    gaps = [(a, b, max(1, math.ceil((b - a) / h_max - 1e-12)))
+            for a, b in zip(anchors[:-1], anchors[1:])]
+    for a, b, parts in gaps:
+        if (b - a) / parts <= SNAP_REL * (max(1.0, abs(a)) + max(1.0, abs(b))):
+            raise InvalidArgumentError(_NARROW_CELL)
+    assume(sum(parts for _, _, parts in gaps) <= 10**5)  # a legal fill may be huge
+    return Grid(tagged_nodes(beta, tag_list, h_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+    unit_tags=tag_lists(bound=1.5),
+    # fills of at most 2**11 parts a gap, or below the snap windows of +-beta
+    unit_fill=st.one_of(st.floats(2.0**-10, 4.0), st.floats(2.0**-60, 2.0**-38)),
+)
+def test_with_tags_equals_the_loop_bit_for_bit(beta, unit_tags, unit_fill):
+    tags = [beta * t for t in unit_tags]
+
+    def outcome(build):
+        try:
+            return build(beta, tags, beta * unit_fill).nodes.tobytes()
+        except InvalidArgumentError as exc:
+            return str(exc)
+
+    want = outcome(loop_with_tags)  # first: it rejects a draw that fills memory
+    assert outcome(Grid.with_tags) == want
+
+
+def test_with_tags_keeps_the_first_of_equal_zeros():
+    for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+        nodes = Grid.with_tags(1.0, zeros, 1.0).nodes
+        assert nodes.tobytes() == np.array([-1.0, zeros[0], 1.0]).tobytes()
+
+
+@pytest.mark.parametrize("beta, h_max", [(1.0, 1e-310), (1e308, 1e307)], ids=["parts", "gap"])
+def test_with_tags_refuses_an_overflow(beta, h_max):
+    # inf parts (2 / 1e-310) or an inf gap (2e308): refused before any count is cast
+    with pytest.raises(InvalidArgumentError, match="snap windows"):
+        Grid.with_tags(beta, [], h_max)

@@ -25,12 +25,8 @@ from ultracalc import (
     default_interpolation_points,
     delta,
 )
-from ultracalc.grid import INTERIOR, NODE, OUTSIDE
 
 from strategies import grids
-
-CODES = {PointKind.INTERIOR: INTERIOR, PointKind.NODE: NODE, PointKind.OUTSIDE: OUTSIDE}
-
 
 def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
@@ -68,7 +64,7 @@ def test_classify_equals_locate(data):
     kind, index = grid.classify(xs)
     for x, k, i in zip(xs, kind, index):
         loc = grid.locate(x)
-        assert k == CODES[loc.kind], x
+        assert k == loc.kind, x
         assert i == (-1 if loc.index is None else loc.index), x
 
 

@@ -31,7 +31,9 @@ def test_unit_cell_constant_basis_value():
 
 
 def test_splitted_basis_gram_is_identity(space):
-    g = space.splitted_basis().gram_matrix()
+    block = space.splitted_basis().gram_matrix()
+    assert block.shape == (space.block_size, space.block_size)
+    g = np.kron(np.eye(space.n_cells), block)
     assert np.max(np.abs(g - np.eye(space.dim))) <= 1e-12
 
 
@@ -41,7 +43,8 @@ def test_gram_matrix_equals_pairwise_inner_products(p):
     tags = np.sort(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8))))
     elements = list(Space(Grid.with_tags(1.0, tags.tolist(), 2.0), p).splitted_basis())
     pairwise = np.array([[u.inner(v) for v in elements] for u in elements])
-    gram = elements[0].space.splitted_basis().gram_matrix()
+    sp = elements[0].space
+    gram = np.kron(np.eye(sp.n_cells), sp.splitted_basis().gram_matrix())
     assert np.array_equal(gram, pairwise)
 
 
