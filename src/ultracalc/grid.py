@@ -31,7 +31,18 @@ from .errors import InvalidArgumentError
 #: Relative half-width of the snap-to-node window.
 SNAP_REL = 2.0 ** -40
 
+_OVERFLOW = "the support is too wide: its width 2 * beta overflows to inf"
 _NARROW_CELL = "nodes must be strictly increasing, each cell wider than its two ends' snap windows"
+
+
+def _support(beta) -> float:
+    """``beta`` as a float, refused unless it is positive and ``2 * beta`` is finite."""
+    beta = float(beta)
+    if not math.isfinite(beta) or beta <= 0.0:
+        raise InvalidArgumentError("beta must be a positive finite number")
+    if not math.isfinite(2.0 * beta):
+        raise InvalidArgumentError(_OVERFLOW)
+    return beta
 
 
 class PointKind(IntEnum):
@@ -71,7 +82,8 @@ class Grid:
 
     Cell ``j`` is the open interval ``(nodes[j], nodes[j+1])``; it is wider
     than the snap windows of its two end nodes together, so ``2 / width``
-    stays below ``2**40``.  Grids are immutable after construction.
+    stays below ``2**40``; the support width ``2 * beta`` is finite.
+    Grids are immutable after construction.
     """
 
     __slots__ = ("nodes",)
@@ -82,6 +94,8 @@ class Grid:
             raise InvalidArgumentError("need at least two nodes")
         if not (np.all(np.isfinite(arr)) and arr[-1] > 0.0 and arr[0] == -arr[-1]):
             raise InvalidArgumentError("nodes must be finite and run from -beta to beta > 0")
+        if not math.isfinite(2.0 * float(arr[-1])):
+            raise InvalidArgumentError(_OVERFLOW)
         window = SNAP_REL * np.maximum(1.0, np.abs(arr))
         if np.any(np.diff(arr) <= window[:-1] + window[1:]):
             raise InvalidArgumentError(_NARROW_CELL)
@@ -100,7 +114,8 @@ class Grid:
         """Uniform partition of ``[-beta, beta]`` into ``ell`` cells."""
         if ell != int(ell) or int(ell) < 1:
             raise InvalidArgumentError("ell must be a positive integer")
-        return cls(np.linspace(-float(beta), float(beta), int(ell) + 1))
+        beta = _support(beta)  # before linspace overflows
+        return cls(np.linspace(-beta, beta, int(ell) + 1))
 
     @classmethod
     def with_tags(cls, beta: float, tags, h_max: float) -> "Grid":
@@ -111,9 +126,7 @@ class Grid:
         must be wider than the snap windows of the gap's ends; this is checked
         before any node is made.
         """
-        beta = float(beta)
-        if not math.isfinite(beta) or beta <= 0.0:
-            raise InvalidArgumentError("beta must be a positive finite number")
+        beta = _support(beta)
         h_max = float(h_max)
         if not math.isfinite(h_max) or h_max <= 0.0:
             raise InvalidArgumentError("h_max must be a positive finite number")
@@ -131,8 +144,8 @@ class Grid:
             gap = b - a
             window = SNAP_REL * (np.maximum(1.0, np.abs(a)) + np.maximum(1.0, np.abs(b)))
             parts = np.maximum(1.0, np.ceil(gap / h_max - 1e-12))
-            # negated so that an overflowed gap or part count (nan, inf) is
-            # refused too; a passed check bounds parts below 2**40
+            # negated so that an overflowed part count (inf) is refused
+            # too; a passed check bounds parts below 2**40
             wide = gap / parts > window
         if not wide.all():
             raise InvalidArgumentError(_NARROW_CELL)

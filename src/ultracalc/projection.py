@@ -8,21 +8,27 @@ each coefficient block depends only on ``f`` restricted to its own cell.
 Quadrature
 ----------
 Coefficients are per-cell integrals of ``f`` against the cell basis, computed
-by adaptive Gauss bisection to a caller-visible tolerance.  Every operation
-(projection, pairing with a member, L2 error) is one array integrand
-``integrand(cells, x, f(x))`` handed to a single engine, which bisects all
-intervals of all cells level by level.
+by adaptive Gauss-Kronrod bisection to a caller-visible tolerance.  Every
+operation (projection, pairing with a member, L2 error) is one array
+integrand ``integrand(cells, x, f(x))`` handed to a single engine, which
+bisects all intervals of all cells level by level.
 
-Level 0 takes the whole panel and both half panels of every interval.  An
-interval whose two halves agree with its whole panel to within the tolerance
-is done; every other one is split, and the next level evaluates all the
-children at once, each reusing its parent's half panel as its own whole
-panel (two panels per child, not three) at half the tolerance.  The
-intervals of a level go to the integrand 64 at a time as one point array,
-and to ``f`` through its handle's array form; for a plain callable such as
-``math.sin`` that form calls ``f`` one scalar point at a time.  The
-children's integrals are summed back up each bisection tree as
-``left + right``, so the result equals that of a depth-first recursion bit for bit.
+Each interval is evaluated once, at the ``2n + 1`` points of the Kronrod
+extension of the ``n``-point Gauss rule (``n = 7``, QUADPACK's G7/K15 pair,
+up to degree 6; ``n = p + 1`` above), so the Gauss part integrates ``f``
+times the basis exactly for a polynomial ``f`` of the space's degree.  An
+interval is done when its Kronrod and Gauss sums differ by at most the
+tolerance, or by less than the rounding floor ``50 * eps * width *
+max|integrand|`` of the panel; it keeps its Kronrod sum.  The error each
+interval achieves is thus ``max(tol, rounding floor)``: a tolerance below
+rounding is met at the floor instead of splitting toward the width limit.  Every other interval
+is split, and the next level evaluates all the children at once, each with
+a fresh panel, at half the tolerance.  The intervals of a level go to the
+integrand 64 at a time as one point array, and to ``f`` through its
+handle's array form; for a plain callable such as ``math.sin`` that form
+calls ``f`` one scalar point at a time.  The children's integrals are summed
+back up each bisection tree as ``left + right``, so the result equals that
+of a depth-first recursion bit for bit.
 
 Cells containing a declared singular point are handled by geometric
 subdivision toward the singularity (ratio one half), summing the engine's
@@ -43,12 +49,13 @@ number of cells.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre as leg
 
 from .errors import InvalidArgumentError, QuadratureError
 from .space import Space, Ultrafunction
@@ -105,76 +112,104 @@ def as_handle(f) -> FunctionHandle:
 # quadrature engine (array integrands)
 # ----------------------------------------------------------------------
 
-_PANEL_T, _PANEL_W = leggauss(12)
 _CHUNK = 64  # intervals per `_panels` batch; bounds the size of the point arrays
+#: multiple of eps times width times the largest ``|integrand|`` below which
+#: the Kronrod-Gauss difference is rounding, not truncation (QUADPACK's 50)
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
-def _weighted(values, w):
-    """Sum ``w[i] * values[..., i, :]`` in rule order over the point axis."""
-    total = 0.0
-    for i, wi in enumerate(w):
-        total = total + wi * values[..., i, :]
-    return total
+@functools.cache
+def _gauss_kronrod(n: int):
+    """Nodes on ``[-1, 1]`` and weights of the ``2n + 1``-point Kronrod rule.
+
+    Returns ``(t, w)``: the ascending nodes and a ``(2, 2n + 1)`` array whose
+    rows are their Kronrod weights and the weights of the embedded
+    ``n``-point Gauss rule, zero at the ``n + 1`` Kronrod-only nodes and
+    ``leggauss(n)``'s at ``t[1::2]``.  The Kronrod-only nodes are the roots
+    of the Stieltjes polynomial ``E_{n+1} = P_{n+1} + sum_{j<=n} c_j P_j``,
+    orthogonal to ``P_n P_k`` for ``k <= n``; the Kronrod weights make the
+    rule exact on ``P_0 .. P_{2n}``.
+    """
+    tg, wg = leg.leggauss(n)
+    x, wx = leg.leggauss((3 * n + 5) // 2)  # exact for the degree 3n+1 products
+    vals = leg.legvander(x, n + 1)
+    gram = (vals[:, : n + 1] * (wx * vals[:, n])[:, None]).T @ vals
+    stieltjes = np.append(np.linalg.solve(gram[:, : n + 1], -gram[:, n + 1]), 1.0)
+    roots = leg.legroots(stieltjes)
+    # one Newton step takes the companion-matrix roots to within an ulp
+    roots = roots - leg.legval(roots, stieltjes) / leg.legval(roots, leg.legder(stieltjes))
+    t = np.sort(np.concatenate([tg, roots]))
+    w = np.zeros((2, t.size))
+    w[0] = np.linalg.solve(leg.legvander(t, 2 * n).T, np.r_[2.0, np.zeros(2 * n)])
+    w[1, 1::2] = wg
+    for a in (t, w):
+        a.flags.writeable = False  # the cache hands the same arrays to every caller
+    return t, w
 
 
-def _accepted(halves, whole, lo, hi, tol):
-    """Two-halves error test, or an interval too narrow to split further."""
-    err = np.max(np.abs(halves - whole), axis=-1)
-    floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    return (err <= tol) | ((hi - lo) <= floor)
+def _accepted(sums, peak, lo, hi, tol):
+    """Kronrod-Gauss test against ``tol`` or the rounding floor, or an interval too narrow to split.
+
+    The floor is ``_ROUNDING * (hi - lo) * peak``; an estimate strictly below
+    it is accepted, so a non-finite one never is.
+    """
+    err = np.abs(sums[:, 0] - sums[:, 1]).max(axis=-1)
+    width = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return (err <= tol) | (err < _ROUNDING * (hi - lo) * peak) | ((hi - lo) <= width)
 
 
-def _panels(integrand, handle, cells, lo, hi, rule) -> np.ndarray:
-    """Gauss panels over ``[lo, hi]``, arrays of shape ``(m, k)`` for the m ``cells``.
+def _panels(integrand, handle, cells, lo, hi, rule):
+    """Kronrod and embedded Gauss sums over the intervals ``[lo, hi]`` of the m ``cells``.
 
-    The rows go to ``handle.array`` and ``integrand`` ``_CHUNK`` at a time, all
-    points of a chunk in one call.  The result is ``(m, k, r)``.
+    The points of ``_CHUNK`` intervals at a time go to ``handle.array`` and
+    ``integrand`` in one call.  Both sums add the weighted values in rule
+    order, one point after the other (``np.add.accumulate`` is sequential).
+    Returns the ``(m, 2, r)`` sums, Kronrod first, and each interval's
+    largest ``|integrand|``.
     """
     t, w = rule
-    out = []
+    sums, peak = [], []
     for start in range(0, len(cells), _CHUNK):
         rows = slice(start, start + _CHUNK)
         mid, half = 0.5 * (lo[rows] + hi[rows]), 0.5 * (hi[rows] - lo[rows])
-        x = (mid[..., None] + half[..., None] * t).reshape(mid.shape[0], -1)
-        values = integrand(cells[rows], x, handle.array(x)).reshape(mid.shape + (t.size, -1))
-        out.append(half[..., None] * _weighted(values, w))
-    return np.concatenate(out)
+        x = mid[:, None] + half[:, None] * t
+        values = integrand(cells[rows], x, handle.array(x))
+        total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
+        sums.append(half[:, None, None] * total)
+        peak.append(np.abs(values).max(axis=(1, 2)))
+    return np.concatenate(sums), np.concatenate(peak)
 
 
 def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:
     """Integrals over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
 
-    Bisects level by level.  Level 0 computes the whole panel and both half
-    panels of every interval; at each later level every interval that failed
-    the two-halves test is split in two, each child taking its parent's half
-    panel as its whole panel and ``tol`` halving.  Each child pair is summed
+    Bisects level by level.  Each level evaluates the Kronrod panel of every
+    open interval once; an interval whose Kronrod and embedded Gauss sums
+    differ by more than ``tol`` and its rounding floor is split in two, the
+    children getting fresh panels at the next level and ``tol`` halving.  An
+    accepted interval keeps its Kronrod sum, and each child pair is summed
     back into its parent as ``left + right``.  An interval still failing at
     depth ``MAX_SUBDIVISIONS`` raises for the first of its cells.
     """
-    whole, levels = None, []
+    levels = []
     for depth in range(MAX_SUBDIVISIONS + 1):
-        mid = 0.5 * (lo + hi)
-        # level 0 also needs the whole panel; deeper levels inherit theirs
-        starts, ends = ([lo, lo, mid], [hi, mid, hi]) if whole is None else ([lo, mid], [mid, hi])
-        sums = _panels(integrand, handle, cells, np.stack(starts, 1), np.stack(ends, 1), rule)
-        whole = sums[:, 0] if whole is None else whole
-        halves = sums[:, -2] + sums[:, -1]
-        split = ~_accepted(halves, whole, lo, hi, tol)
-        levels.append((halves, split))
+        sums, peak = _panels(integrand, handle, cells, lo, hi, rule)
+        split = ~_accepted(sums, peak, lo, hi, tol)
+        levels.append((sums[:, 0], split))
         if not split.any():
             break
         if depth == MAX_SUBDIVISIONS:
             j = int(cells[split][0])
             raise QuadratureError(f"adaptive quadrature did not converge on cell {j}", j)
         # each split parent gives its left child, then its right child
+        mid = 0.5 * (lo + hi)
         cells = np.repeat(cells[split], 2)
         lo, hi = np.stack([lo, mid], 1)[split].ravel(), np.stack([mid, hi], 1)[split].ravel()
-        whole = sums[split, -2:].reshape(-1, sums.shape[-1])
         tol = 0.5 * tol
     total = levels.pop()[0]
-    for halves, split in reversed(levels):
-        halves[split] = total[0::2] + total[1::2]
-        total = halves
+    for kron, split in reversed(levels):
+        kron[split] = total[0::2] + total[1::2]
+        total = kron
     return total
 
 
@@ -218,13 +253,6 @@ def _integrate_cell(integrand, handle, j, a, b, tol, rule) -> np.ndarray:
     return total
 
 
-def _panel_rule(space: Space):
-    n = max(12, space.degree + 4)
-    if n == 12:
-        return _PANEL_T, _PANEL_W
-    return leggauss(n)
-
-
 def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None) -> np.ndarray:
     """Integral of ``integrand(cells, x, f(x))`` over each listed cell.
 
@@ -234,7 +262,8 @@ def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None)
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be a positive finite number, got {tol!r}")
-    rule = _panel_rule(space)
+    # the Gauss part is exact on f times the basis for a degree-p polynomial f
+    rule = _gauss_kronrod(max(7, space.degree + 1))
     cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
     a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
     s = np.asarray(handle.singular, dtype=float)

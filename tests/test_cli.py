@@ -80,6 +80,14 @@ def test_grid_finer_than_the_snap_windows_is_domain_error(capsys):
     assert "snap windows" in captured.err
 
 
+@pytest.mark.parametrize("shape", [["--cells", "2"], ["--tags", "0", "--hmax", "1e308"]])
+def test_grid_wider_than_the_largest_float_is_domain_error(capsys, shape):
+    assert cli.main(["grid", "--beta", "1e308", *shape]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2 * beta overflows" in captured.err
+
+
 def test_parser_is_built_once_and_reused(capsys):
     runs = [
         ["grid", "--beta", "2", "--tags=0.3", "--hmax", "0.7"],

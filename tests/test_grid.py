@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ultracalc import Grid, InvalidArgumentError, PointClass, PointKind
+from ultracalc import Grid, InvalidArgumentError, PointClass, PointKind, Space, project
 from ultracalc.grid import _NARROW_CELL, SNAP_REL
 
 from strategies import tag_lists, tagged_nodes
@@ -257,8 +258,50 @@ def test_with_tags_keeps_the_first_of_equal_zeros():
         assert nodes.tobytes() == np.array([-1.0, zeros[0], 1.0]).tobytes()
 
 
-@pytest.mark.parametrize("beta, h_max", [(1.0, 1e-310), (1e308, 1e307)], ids=["parts", "gap"])
-def test_with_tags_refuses_an_overflow(beta, h_max):
-    # inf parts (2 / 1e-310) or an inf gap (2e308): refused before any count is cast
-    with pytest.raises(InvalidArgumentError, match="snap windows"):
+@pytest.mark.parametrize(
+    "beta, h_max, message",
+    [(1.0, 1e-310, "snap windows"), (1e308, 1e307, "2 \\* beta overflows")],
+    ids=["parts", "gap"],
+)
+def test_with_tags_refuses_an_overflow(beta, h_max, message):
+    # inf parts (2 / 1e-310) or an inf support width (2e308): refused before
+    # any count is cast, the width by name
+    with pytest.raises(InvalidArgumentError, match=message):
         Grid.with_tags(beta, [], h_max)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[-1.7e308, 1.7e308], [-1.7e308, 0.0, 1.7e308], [-1.7e308, -1e308, 1e308, 1.7e308]],
+    ids=["inf-gap", "finite-gaps", "inf-middle-gap"],
+)
+def test_grid_wider_than_the_largest_float_is_refused(nodes):
+    # 2 * 1.7e308 is not a float, even where every gap is: refused by name,
+    # before the snap-window test and without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="2 \\* beta overflows"):
+            Grid(nodes)
+        with pytest.raises(InvalidArgumentError, match="2 \\* beta overflows"):
+            Grid.with_tags(nodes[-1], nodes[1:-1], nodes[-1])
+        with pytest.raises(InvalidArgumentError, match="2 \\* beta overflows"):
+            Grid.uniform(nodes[-1], len(nodes) - 1)
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+def test_uniform_refuses_a_beta_that_is_not_positive_and_finite(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="beta must be a positive finite number"):
+            Grid.uniform(beta, 2)
+
+
+def test_widest_grid_projects_to_finite_blocks():
+    beta = 0.5 * np.finfo(float).max
+    g = Grid.with_tags(beta, [0.0], beta)
+    assert g.n_cells == 2 and g.h_max == beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = project(Space(g, 2), lambda x: 1.0)
+    want = Space(g, 2).constant(1.0).blocks
+    assert np.max(np.abs(u.blocks - want)) <= 1e-12 * np.max(np.abs(want))

@@ -18,7 +18,7 @@ from ultracalc import (
     project,
     project_via_basis,
 )
-from ultracalc.projection import _intervals
+from ultracalc.projection import _accepted, _gauss_kronrod, _intervals
 
 
 @pytest.fixture
@@ -259,8 +259,8 @@ def test_singular_point_is_never_evaluated():
     assert math.isfinite(u(-0.75)) and u(-0.75) > 0.0
 
 
-def test_bisection_reuses_parent_panels():
-    # each bisection level below the first pass costs two 12-point panels
+def test_bisection_evaluates_one_kronrod_panel_per_interval():
+    # every interval, the 16 cells and each child of a split, costs 15 points
     args = []
 
     def kink(x):
@@ -268,7 +268,7 @@ def test_bisection_reuses_parent_panels():
         return abs(x - 0.3)
 
     project(Space(Grid.uniform(1.0, 16), 2), kink)
-    assert len(args) == 1824
+    assert len(args) == 1080
     assert all(type(x) is np.float64 for x in args)
 
 
@@ -308,8 +308,8 @@ def test_mixed_first_pass_and_bisection_on_tagged_grid(p):
         return abs(x - c)
 
     u = project(sp, kink)
-    # every other cell converged in the first pass: one whole and two half panels
-    assert len(outside) == 36 * (grid.n_cells - 1)
+    # every other cell converged in the first pass: one 15-point Kronrod panel
+    assert len(outside) == 15 * (grid.n_cells - 1)
     assert np.max(np.abs(u.blocks - _exact_kink_loads(sp, c))) <= 1e-10
     coeffs = np.linspace(0.5, -0.25, p + 1)
     poly = project(sp, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs)))
@@ -317,26 +317,36 @@ def test_mixed_first_pass_and_bisection_on_tagged_grid(p):
 
 
 def _per_point_reference(space, fvec, tol=1e-12, singular=()):
-    """Per-cell adaptive bisection with one scalar integrand call per point.
+    """Per-cell adaptive G7/K15 bisection with one scalar integrand call per point.
 
-    Cells holding a point of ``singular`` are summed over geometric pieces
+    An interval is accepted when its Kronrod and Gauss sums differ by at most
+    ``tol``, or by less than 50 eps times its width times the largest
+    ``|integrand|`` at its points, or when it is too narrow to split.  Cells
+    holding a point of ``singular`` are summed over geometric pieces
     shrinking toward it, after the other cells, as ``project`` does.
     """
-    t, w = np.polynomial.legendre.leggauss(12)
+    t, (wk, wg) = _gauss_kronrod(max(7, space.degree + 1))
     eps = np.finfo(float).eps
 
     def panel(j, lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total = 0.0
-        for ti, wi in zip(t, w):
-            total = total + wi * np.asarray(fvec(j, mid + half * ti))
-        return half * total
+        kron = gauss = peak = 0.0
+        for ti, ki, gi in zip(t, wk, wg):
+            v = np.asarray(fvec(j, mid + half * ti))
+            kron = kron + ki * v
+            if gi:
+                gauss = gauss + gi * v
+            peak = max(peak, float(np.max(np.abs(v))))
+        return half * kron, half * gauss, peak
 
     def adaptive(j, lo, hi, tol):
+        kron, gauss, peak = panel(j, lo, hi)
+        err = np.max(np.abs(kron - gauss))
+        if err <= tol or err < 50 * eps * (hi - lo) * peak:
+            return kron
+        if hi - lo <= 4 * eps * max(1, abs(lo), abs(hi)):
+            return kron
         mid = 0.5 * (lo + hi)
-        whole, halves = panel(j, lo, hi), panel(j, lo, mid) + panel(j, mid, hi)
-        if np.max(np.abs(halves - whole)) <= tol or hi - lo <= 4 * eps * max(1, abs(lo), abs(hi)):
-            return halves
         return adaptive(j, lo, mid, 0.5 * tol) + adaptive(j, mid, hi, 0.5 * tol)
 
     def toward(j, s, far):
@@ -443,7 +453,7 @@ def test_singular_tail_call_count():
         return _inv_sqrt_kink(x)
 
     project(Space(Grid.uniform(1.0, 5), 2), FunctionHandle(f, (0.0,)), tol=1e-9)
-    assert len(calls) == 4488
+    assert len(calls) == 1920
 
 
 def test_bisection_cap_names_the_failing_cell():
@@ -462,7 +472,7 @@ def test_engine_names_the_lowest_of_several_failing_cells():
     # them in one level batch and names the lower cell
     h = FunctionHandle(lambda x: float(x > 0.7))
     lo, hi = np.array([-3000.0, -3000.0]), np.array([2000.0, 2000.0])
-    rule = np.polynomial.legendre.leggauss(12)
+    rule = _gauss_kronrod(7)
     with pytest.raises(QuadratureError) as err:
         _intervals(lambda cells, x, fx: fx[..., None], h, np.array([1, 3]), lo, hi, 1e-6, rule)
     assert err.value.cell_index == 1
@@ -535,7 +545,7 @@ def test_two_singular_points_match_per_point_reference(ell, p):
 
 @pytest.mark.parametrize("p", [9, 12])
 def test_high_degree_panel_rule_reproduces_polynomials(p):
-    # from degree 9 on the panels use p + 4 Gauss points instead of 12
+    # from degree 7 on the panels use the Kronrod extension of p + 1 Gauss points
     sp = Space(_tagged_grid(6, p), p)
     coeffs = np.random.default_rng(p).uniform(-1.0, 1.0, size=p + 1)
     u = project(sp, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs)))
@@ -546,3 +556,78 @@ def test_high_degree_panel_rule_reproduces_polynomials(p):
 def test_non_finite_singular_point_is_refused(s):
     with pytest.raises(InvalidArgumentError, match="singular points must be finite"):
         FunctionHandle(math.sin, (0.0, s))
+
+
+#: QUADPACK's QK15 abscissae and Kronrod weights from the end point inward,
+#: and the weights of its embedded 7-point Gauss rule
+_QK15_NODES = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+               0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+               0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+               0.207784955007898467600689403773245, 0.0)
+_QK15_WEIGHTS = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_G7_WEIGHTS = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def test_kronrod_15_matches_quadpack():
+    t, (wk, wg) = _gauss_kronrod(7)
+    assert t[-1] == pytest.approx(0.99145537112081, abs=1e-14)
+    assert np.max(np.abs(t[7:][::-1] - _QK15_NODES)) <= 4e-16
+    assert np.max(np.abs(t + t[::-1])) <= 2e-16
+    assert np.max(np.abs(wk[7:][::-1] - _QK15_WEIGHTS)) <= 4e-16
+    gauss_t, gauss_w = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(t[1::2] - gauss_t)) <= 1e-15
+    assert np.array_equal(wg[1::2], gauss_w) and not wg[0::2].any()
+    assert np.max(np.abs(wg[7::2][::-1] - _G7_WEIGHTS)) <= 1e-15
+    assert _gauss_kronrod(7) is _gauss_kronrod(7)
+    assert not any(a.flags.writeable for a in _gauss_kronrod(7))
+
+
+@pytest.mark.parametrize("n", range(7, 21))
+def test_kronrod_rule_is_exact_to_degree_3n_plus_1(n):
+    t, (wk, wg) = _gauss_kronrod(n)
+    assert t.size == 2 * n + 1 and np.all(np.diff(t) > 0)
+    assert -1.0 < t[0] and t[-1] < 1.0
+    assert np.all(wk > 0)
+    for k in range(3 * n + 2):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wk @ t**k - exact) <= 1e-14, k
+        if k < 2 * n:
+            assert abs(wg @ t**k - exact) <= 1e-14, k
+
+
+@pytest.mark.parametrize("p", range(11))
+def test_polynomial_of_the_degree_is_accepted_at_level_zero(p):
+    sp = Space(_tagged_grid(12, 20 + p), p)
+    coeffs = np.random.default_rng(p).uniform(-1.0, 1.0, size=p + 1)
+    calls = []
+
+    def poly(x):
+        calls.append(x)
+        return float(np.polynomial.polynomial.polyval(x, coeffs))
+
+    u = project(sp, poly)
+    assert len(calls) == (2 * max(7, p + 1) + 1) * sp.n_cells
+    assert np.max(np.abs(u.blocks - sp.from_polynomial(coeffs).blocks)) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-17, 1e-300])
+def test_tolerance_below_rounding_stops_at_the_floor(tol):
+    # the Kronrod-Gauss difference of a smooth cell is rounding here, so
+    # every cell is accepted at the first level, with the value of tol=1e-12
+    sp = Space(Grid.uniform(1.0, 16), 2)
+    f = _BoundedSin()
+    u = project(sp, f, tol=tol)
+    assert f.calls == 240
+    assert np.array_equal(u.blocks, project(sp, math.sin).blocks)
+
+
+def test_rounding_floor_is_50_eps_times_width_times_peak():
+    # below the floor is accepted; at it, or where the floor is inf, is not
+    floor = 50 * np.finfo(float).eps * 0.5 * 4.0
+    sums = np.array([[[1.0], [1.0 + g]] for g in (0.99 * floor, floor, np.inf)])
+    lo, hi, peak = np.zeros(3), np.full(3, 0.5), np.array([4.0, 4.0, np.inf])
+    assert _accepted(sums, peak, lo, hi, 1e-300).tolist() == [True, False, False]
