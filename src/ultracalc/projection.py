@@ -21,14 +21,19 @@ interval is done when its Kronrod and Gauss sums differ by at most the
 tolerance, or by less than the rounding floor ``50 * eps * width *
 max|integrand|`` of the panel; it keeps its Kronrod sum.  The error each
 interval achieves is thus ``max(tol, rounding floor)``: a tolerance below
-rounding is met at the floor instead of splitting toward the width limit.  Every other interval
-is split, and the next level evaluates all the children at once, each with
-a fresh panel, at half the tolerance.  The intervals of a level go to the
-integrand 64 at a time as one point array, and to ``f`` through its
-handle's array form; for a plain callable such as ``math.sin`` that form
-calls ``f`` one scalar point at a time.  The children's integrals are summed
-back up each bisection tree as ``left + right``, so the result equals that
-of a depth-first recursion bit for bit.
+rounding is met at the floor instead of splitting toward the width limit.
+Every other interval is split, and the next level evaluates all the children
+at once, each with a fresh panel, at half the tolerance.  The intervals of a
+level go to the integrand 64 at a time as one point array, and to ``f``
+through its handle's array form; for a plain callable such as ``math.sin``
+that form calls ``f`` on one Python float at a time.  So where a numpy scalar
+would have given inf or NaN, a plain callable raises Python's own error
+(``ZeroDivisionError``, ``OverflowError``, or ``TypeError`` for a complex
+value), which propagates unchanged.  A value of ``f`` that is not finite
+raises :class:`~ultracalc.errors.InvalidArgumentError` naming the point and
+its cell, as soon as its batch is evaluated.  The children's integrals are
+summed back up each bisection tree as ``left + right``, so the result equals
+that of a depth-first recursion bit for bit.
 
 Cells containing a declared singular point are handled by geometric
 subdivision toward the singularity (ratio one half), summing the engine's
@@ -78,7 +83,11 @@ class FunctionHandle:
     equal to ``fn``; quadrature calls only it, once per batch of points.  It
     defaults to ``fn.array`` when ``fn`` has one, as the functions from
     :func:`~ultracalc.expr.parse_expression` do, and otherwise to an adapter
-    that calls ``fn`` one scalar point at a time, so it is never ``None``.
+    that calls ``fn`` on one Python float at a time, so it is never ``None``.
+    ``fn`` then raises Python's own errors where numpy scalars would give inf
+    or NaN: ``ZeroDivisionError``, ``OverflowError``, or ``TypeError`` for a
+    complex value.  Quadrature refuses any value of ``array`` that is not
+    finite, ``None`` from ``fn`` included, with ``InvalidArgumentError``.
     """
 
     fn: Callable[[float], float]
@@ -89,15 +98,16 @@ class FunctionHandle:
         if not all(math.isfinite(s) for s in self.singular):
             raise InvalidArgumentError(f"singular points must be finite, got {self.singular!r}")
         if self.array is None:
-            object.__setattr__(self, "array", getattr(self.fn, "array", _per_point(self.fn)))
+            array = getattr(self.fn, "array", None)
+            object.__setattr__(self, "array", _per_point(self.fn) if array is None else array)
 
     def __call__(self, x: float) -> float:
         return float(self.fn(x))
 
 
 def _per_point(fn):
-    """``fn`` on a float array, called one scalar point at a time."""
-    return lambda x: np.fromiter((float(fn(v)) for v in x.ravel()), float, x.size).reshape(x.shape)
+    """``fn`` on a float array, called on one Python float at a time."""
+    return lambda x: np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def as_handle(f) -> FunctionHandle:
@@ -164,6 +174,7 @@ def _panels(integrand, handle, cells, lo, hi, rule):
     The points of ``_CHUNK`` intervals at a time go to ``handle.array`` and
     ``integrand`` in one call.  Both sums add the weighted values in rule
     order, one point after the other (``np.add.accumulate`` is sequential).
+    A value of ``f`` that is not finite raises ``InvalidArgumentError``.
     Returns the ``(m, 2, r)`` sums, Kronrod first, and each interval's
     largest ``|integrand|``.
     """
@@ -173,11 +184,23 @@ def _panels(integrand, handle, cells, lo, hi, rule):
         rows = slice(start, start + _CHUNK)
         mid, half = 0.5 * (lo[rows] + hi[rows]), 0.5 * (hi[rows] - lo[rows])
         x = mid[:, None] + half[:, None] * t
-        values = integrand(cells[rows], x, handle.array(x))
+        fx = handle.array(x)
+        if not np.isfinite(fx).all():
+            _refuse_non_finite(cells[rows], x, fx)
+        values = integrand(cells[rows], x, fx)
         total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
         sums.append(half[:, None, None] * total)
         peak.append(np.abs(values).max(axis=(1, 2)))
     return np.concatenate(sums), np.concatenate(peak)
+
+
+def _refuse_non_finite(cells, x, fx):
+    """Raise for the first point of the ``(m, P)`` array ``x`` where ``fx`` is not finite."""
+    k = int(np.argmin(np.isfinite(fx)))
+    raise InvalidArgumentError(
+        f"function value {float(fx.flat[k])!r} at x = {float(x.flat[k])!r} "
+        f"in cell {int(cells[k // x.shape[1]])} is not finite"
+    )
 
 
 def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:

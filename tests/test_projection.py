@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultracalc import (
     FunctionHandle,
@@ -15,9 +17,11 @@ from ultracalc import (
     integral_against_member,
     l2_error,
     locality_residual,
+    parse_expression,
     project,
     project_via_basis,
 )
+from ultracalc import projection
 from ultracalc.projection import _accepted, _gauss_kronrod, _intervals
 
 
@@ -269,7 +273,7 @@ def test_bisection_evaluates_one_kronrod_panel_per_interval():
 
     project(Space(Grid.uniform(1.0, 16), 2), kink)
     assert len(args) == 1080
-    assert all(type(x) is np.float64 for x in args)
+    assert all(type(x) is float for x in args)
 
 
 def _tagged_grid(ell, seed):
@@ -478,22 +482,22 @@ def test_engine_names_the_lowest_of_several_failing_cells():
     assert err.value.cell_index == 1
 
 
-class _BoundedSin:
-    """``math.sin`` that counts its calls and gives up after 10**5 of them."""
+class _Bounded:
+    """``fn`` that counts its calls and gives up after 10**5 of them."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, fn=math.sin):
+        self.fn, self.calls = fn, 0
 
     def __call__(self, x):
         self.calls += 1
         if self.calls > 100_000:
             raise RuntimeError("quadrature kept evaluating")
-        return math.sin(x)
+        return self.fn(x)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_unreachable_tolerance_rejected_before_evaluation(space, tol):
-    f = _BoundedSin()
+    f = _Bounded()
     v = space.constant(1.0)
     ops = [
         lambda: project(space, f, tol=tol),
@@ -619,7 +623,7 @@ def test_tolerance_below_rounding_stops_at_the_floor(tol):
     # the Kronrod-Gauss difference of a smooth cell is rounding here, so
     # every cell is accepted at the first level, with the value of tol=1e-12
     sp = Space(Grid.uniform(1.0, 16), 2)
-    f = _BoundedSin()
+    f = _Bounded()
     u = project(sp, f, tol=tol)
     assert f.calls == 240
     assert np.array_equal(u.blocks, project(sp, math.sin).blocks)
@@ -631,3 +635,103 @@ def test_rounding_floor_is_50_eps_times_width_times_peak():
     sums = np.array([[[1.0], [1.0 + g]] for g in (0.99 * floor, floor, np.inf)])
     lo, hi, peak = np.zeros(3), np.full(3, 0.5), np.array([4.0, 4.0, np.inf])
     assert _accepted(sums, peak, lo, hi, 1e-300).tolist() == [True, False, False]
+
+
+def _numpy_scalar_adapter(fn):
+    """The earlier array form of a plain callable: one ``np.float64`` at a time."""
+    return lambda x: np.fromiter((float(fn(v)) for v in x.ravel()), float, x.size).reshape(x.shape)
+
+
+@st.composite
+def _plain_callables(draw):
+    kind = draw(st.sampled_from(["smooth", "polynomial", "kink"]))
+    a, b, c = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    if kind == "smooth":
+        k = draw(st.integers(1, 3))
+        return lambda x: a * math.sin(k * x + b) + c * x**2
+    if kind == "polynomial":
+        poly = np.polynomial.Polynomial([a, b, c, draw(st.floats(-1.0, 1.0))])
+        return lambda x: float(poly(x))
+    return lambda x: abs(x - c)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    f=_plain_callables(),
+    p=st.sampled_from([0, 2, 6]),
+    ell=st.integers(1, 24),
+    tagged=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_python_float_adapter_is_bit_identical_to_numpy_scalars(f, p, ell, tagged, seed):
+    grid = _tagged_grid(ell, seed) if tagged and ell > 1 else Grid.uniform(1.0, ell)
+    sp = Space(grid, p)
+    old = FunctionHandle(f, array=_numpy_scalar_adapter(f))
+    v = random_member(sp, np.random.default_rng(seed))
+    assert np.array_equal(project(sp, f).blocks, project(sp, old).blocks)
+    assert l2_error(f, v) == l2_error(old, v)
+    assert integral_against_member(f, v) == integral_against_member(old, v)
+
+
+def test_array_form_of_fn_is_used_without_building_the_adapter(monkeypatch):
+    def refuse(fn):
+        raise AssertionError("per-point adapter built for a function with an array form")
+
+    monkeypatch.setattr(projection, "_per_point", refuse)
+    expr = parse_expression("sin(x)")
+    assert FunctionHandle(expr).array == expr.array
+
+
+_OPERATIONS = {
+    "project": lambda sp, f: project(sp, f),
+    "l2_error": lambda sp, f: l2_error(f, Ultrafunction(sp, np.ones((sp.n_cells, sp.block_size)))),
+    "integral_against_member": lambda sp, f: integral_against_member(
+        f, Ultrafunction(sp, np.ones((sp.n_cells, sp.block_size)))
+    ),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_OPERATIONS))
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (lambda x: math.nan if x > 0.3 else 1.0, "nan"),
+        (lambda x: math.inf if x > 0.3 else 1.0, "inf"),
+        (lambda x: None if x > 0.3 else 1.0, "nan"),
+        (lambda x: 1e300 * 1e300 * x if x > 0.3 else 1.0, "inf"),  # float overflow
+    ],
+    ids=["nan", "inf", "none", "overflow"],
+)
+def test_non_finite_values_are_refused_in_the_first_pass(operation, value, shown):
+    # before, such a cell was never accepted and the open intervals doubled at every level
+    ell = 4
+    f = _Bounded(value)
+    with pytest.raises(InvalidArgumentError, match=rf"value {shown} at x = 0\.30\d* in cell 2 "):
+        _OPERATIONS[operation](Space(Grid.uniform(1.0, ell), 1), f)
+    assert f.calls <= 15 * ell
+
+
+def test_non_finite_array_form_is_refused():
+    h = FunctionHandle(math.exp, array=lambda x: np.where(x < -0.9, -np.inf, np.exp(x)))
+    with pytest.raises(InvalidArgumentError, match=r"value -inf at x = -0\.9\d* in cell 0 "):
+        project(Space(Grid.uniform(1.0, 8), 2), h)
+
+
+def test_non_finite_value_in_a_singular_cell_is_refused():
+    # the regular cells come first and are finite; cell 2 = [-0.2, 0.2] holds 0
+    h = FunctionHandle(lambda x: math.nan if 0.0 < x < 0.2 else abs(x) ** -0.5, (0.0,))
+    with pytest.raises(InvalidArgumentError, match="in cell 2 is not finite"):
+        project(Space(Grid.uniform(1.0, 5), 0), h, tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "fn, error",
+    [
+        (lambda x: 1.0 / (x - x), ZeroDivisionError),
+        (lambda x: math.exp(1000.0 * x), OverflowError),
+        (lambda x: (x - 2.0) ** 0.5, TypeError),  # a complex value
+    ],
+)
+def test_errors_raised_by_the_callable_propagate(fn, error):
+    with pytest.raises(error):
+        project(Space(Grid.uniform(1.0, 4), 1), fn)
