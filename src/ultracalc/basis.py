@@ -35,30 +35,30 @@ class DeltaKind(Enum):
 
 def delta_kind(space: Space, q: float, side: Side | None = None) -> DeltaKind:
     """Classify the delta member centered at ``q`` (optionally one-sided)."""
-    loc = space.grid.locate(q)
-    if loc.is_outside:
+    kind, j = space.grid._find(q)
+    if kind is PointKind.OUTSIDE:
         raise InvalidArgumentError(f"center {q!r} lies outside the support")
-    if loc.is_interior:
+    if kind is PointKind.INTERIOR:
         if side is not None:
             raise InvalidArgumentError("one-sided deltas exist at nodes only")
         return DeltaKind.INTERIOR
-    _, terms = space.node_terms(loc.index, side)  # refuses a side with no cell
+    _, terms = space.node_terms(j, side)  # refuses a side with no cell
     if side is not None:
         return DeltaKind.NODE_PLUS if side == "plus" else DeltaKind.NODE_MINUS
     if len(terms) == 2:
         return DeltaKind.NODE_AVERAGE
-    return DeltaKind.ENDPOINT_LEFT if loc.index == 0 else DeltaKind.ENDPOINT_RIGHT
+    return DeltaKind.ENDPOINT_LEFT if j == 0 else DeltaKind.ENDPOINT_RIGHT
 
 
 def delta(space: Space, q: float) -> Ultrafunction:
     """Member representing point evaluation at ``q`` against the L2 pairing."""
-    loc = space.grid.locate(q)
-    if loc.is_outside:
+    kind, j = space.grid._find(q)
+    if kind is PointKind.OUTSIDE:
         raise InvalidArgumentError(f"center {q!r} lies outside the support")
-    if loc.is_node:
-        return _node_delta(space, *space.node_terms(loc.index))
+    if kind is PointKind.NODE:
+        return _node_delta(space, *space.node_terms(j))
     blocks = np.zeros((space.n_cells, space.block_size))
-    blocks[loc.index] = space.basis_values(loc.index, q)
+    blocks[j] = space.basis_values(j, q)
     return Ultrafunction(space, blocks)
 
 

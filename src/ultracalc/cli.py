@@ -258,11 +258,11 @@ def _cmd_export_op(args) -> int:
         data = {
             "kind": op.kind,
             "space": ser.space_hash(space),
-            "matrix": [[float(c) for c in row] for row in op.matrix],
+            "matrix": op.matrix.tolist(),
         }
         _write_text(ser.dump_json(data), args.out)
         return 0
-    lines = [",".join(_fmt(c) for c in row) for row in op.matrix]
+    lines = [",".join(map(repr, row)) for row in op.matrix.tolist()]
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -275,7 +275,7 @@ def _cmd_sample(args) -> int:
     beta = u.space.grid.beta
     xs = np.linspace(-beta, beta, args.points)
     lines = ["x,value"]
-    lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, u.sample(xs)))
+    lines.extend(f"{x!r},{v!r}" for x, v in zip(xs.tolist(), u.sample(xs).tolist()))
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

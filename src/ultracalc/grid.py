@@ -4,7 +4,9 @@ The grid is the backbone of every other object in the package: function
 spaces are direct sums of per-cell polynomial spaces, and all pointwise
 conventions (one-sided limits, node averages) are phrased in terms of the
 classification produced by :meth:`Grid.locate` (one point) and
-:meth:`Grid.classify` (an array of points, with the same answers).
+:meth:`Grid.classify` (an array of points, with the same answers).  The
+one-point path reads the nodes as Python floats and makes the array path's
+comparisons, so the two agree bit for bit without numpy-scalar arithmetic.
 
 Node identity is decided by exact comparison after snapping: an input within
 a relative distance of ``2**-40`` of a node is treated as that node.  The
@@ -183,31 +185,33 @@ class Grid:
 
     def snap(self, x: float) -> float:
         """Return the node value identified with ``x``, or ``x`` itself."""
-        loc = self.locate(x)
-        if loc.is_node:
-            return float(self.nodes[loc.index])
-        return float(x)
+        kind, j = self._find(x)
+        return self.nodes.item(j) if kind is PointKind.NODE else float(x)
 
     def locate(self, x: float) -> PointClass:
         """Classify ``x`` as interior to a cell, a node, or outside."""
+        return PointClass(*self._find(x))
+
+    def _find(self, x) -> tuple[PointKind, int | None]:
+        """:meth:`locate`'s ``(kind, index)``, computed on Python floats.
+
+        The comparisons are those of :meth:`classify`, so the answers agree
+        bit for bit: the nearer of the two nodes around the insertion point
+        (a tie keeps the left one) is ``x`` if within its snap window.
+        """
         x = float(x)
         if math.isnan(x):
             raise InvalidArgumentError("cannot classify NaN: it is not a point of the line")
         nodes = self.nodes
-        i = int(np.searchsorted(nodes, x))
-        # nearest node among neighbours of the insertion point
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < nodes.size:
-                d = abs(x - nodes[j])
-                if best is None or d < best[1]:
-                    best = (j, d)
-        j, d = best
-        if d <= SNAP_REL * max(1.0, abs(nodes[j])):
-            return PointClass(PointKind.NODE, j)
-        if x < nodes[0] or x > nodes[-1]:
-            return PointClass(PointKind.OUTSIDE, None)
-        return PointClass(PointKind.INTERIOR, min(i - 1, self.n_cells - 1))
+        i = int(nodes.searchsorted(x))
+        inside = 0 < i < nodes.size  # nodes[i - 1] < x <= nodes[i]
+        j = min(i, nodes.size - 1)
+        if inside and abs(x - nodes.item(i - 1)) <= abs(x - nodes.item(i)):
+            j = i - 1
+        v = nodes.item(j)
+        if abs(x - v) <= SNAP_REL * max(1.0, abs(v)):
+            return PointKind.NODE, j
+        return (PointKind.INTERIOR, i - 1) if inside else (PointKind.OUTSIDE, None)
 
     def classify(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Classify every point of ``xs`` at once.
@@ -238,10 +242,10 @@ class Grid:
 
     def node_index(self, x: float, what: str = "point") -> int:
         """Node index of ``x``; raises if ``x`` is not a grid node."""
-        loc = self.locate(x)
-        if not loc.is_node:
+        kind, j = self._find(x)
+        if kind is not PointKind.NODE:
             raise InvalidArgumentError(f"{what} {x!r} is not a grid node")
-        return loc.index
+        return j
 
     # ------------------------------------------------------------------
 

@@ -31,9 +31,10 @@ would have given inf or NaN, a plain callable raises Python's own error
 (``ZeroDivisionError``, ``OverflowError``, or ``TypeError`` for a complex
 value), which propagates unchanged.  A value of ``f`` that is not finite
 raises :class:`~ultracalc.errors.InvalidArgumentError` naming the point and
-its cell, as soon as its batch is evaluated.  The children's integrals are
-summed back up each bisection tree as ``left + right``, so the result equals
-that of a depth-first recursion bit for bit.
+its cell, as soon as its batch is evaluated; so does, naming the cell, an
+integrand or panel sum that overflows, at the level where it does.  The
+children's integrals are summed back up each bisection tree as ``left +
+right``, so the result equals that of a depth-first recursion bit for bit.
 
 Cells containing a declared singular point are handled by geometric
 subdivision toward the singularity (ratio one half), summing the engine's
@@ -174,7 +175,8 @@ def _panels(integrand, handle, cells, lo, hi, rule):
     The points of ``_CHUNK`` intervals at a time go to ``handle.array`` and
     ``integrand`` in one call.  Both sums add the weighted values in rule
     order, one point after the other (``np.add.accumulate`` is sequential).
-    A value of ``f`` that is not finite raises ``InvalidArgumentError``.
+    A value of ``f`` that is not finite raises ``InvalidArgumentError``;
+    an overflow of the integrand or of its sums is left to the caller.
     Returns the ``(m, 2, r)`` sums, Kronrod first, and each interval's
     largest ``|integrand|``.
     """
@@ -187,9 +189,10 @@ def _panels(integrand, handle, cells, lo, hi, rule):
         fx = handle.array(x)
         if not np.isfinite(fx).all():
             _refuse_non_finite(cells[rows], x, fx)
-        values = integrand(cells[rows], x, fx)
-        total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
-        sums.append(half[:, None, None] * total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = integrand(cells[rows], x, fx)
+            total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
+            sums.append(half[:, None, None] * total)
         peak.append(np.abs(values).max(axis=(1, 2)))
     return np.concatenate(sums), np.concatenate(peak)
 
@@ -212,11 +215,19 @@ def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:
     children getting fresh panels at the next level and ``tol`` halving.  An
     accepted interval keeps its Kronrod sum, and each child pair is summed
     back into its parent as ``left + right``.  An interval still failing at
-    depth ``MAX_SUBDIVISIONS`` raises for the first of its cells.
+    depth ``MAX_SUBDIVISIONS`` raises for the first of its cells.  An
+    integrand or panel sum that overflows, which no split could mend, raises
+    ``InvalidArgumentError`` for the first of its cells.
     """
     levels = []
     for depth in range(MAX_SUBDIVISIONS + 1):
         sums, peak = _panels(integrand, handle, cells, lo, hi, rule)
+        # an integrand value that is not finite leaves its Kronrod sum so too
+        if not np.isfinite(sums).all():
+            j = int(cells[np.argmin(np.isfinite(sums).all(axis=(1, 2)))])
+            raise InvalidArgumentError(
+                f"the integrand overflows on cell {j}: its values or their integral are not finite"
+            )
         split = ~_accepted(sums, peak, lo, hi, tol)
         levels.append((sums[:, 0], split))
         if not split.any():

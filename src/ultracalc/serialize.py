@@ -20,7 +20,7 @@ from .space import Space, Ultrafunction
 
 
 def grid_to_dict(grid: Grid) -> dict:
-    return {"beta": grid.beta, "nodes": [float(x) for x in grid.nodes]}
+    return {"beta": grid.beta, "nodes": grid.nodes.tolist()}
 
 
 def grid_from_dict(data: dict) -> Grid:
@@ -55,7 +55,7 @@ def member_to_dict(u: Ultrafunction) -> dict:
     return {
         "space": space_hash(u.space),
         "space_spec": space_to_dict(u.space),
-        "blocks": [[float(c) for c in row] for row in u.blocks],
+        "blocks": u.blocks.tolist(),
     }
 
 
@@ -84,10 +84,10 @@ def member_from_dict(data: dict, space: Space | None = None) -> Ultrafunction:
 def basis_pair_to_dict(pair: BasisPair) -> dict:
     return {
         "space": space_hash(pair.space),
-        "points": [float(q) for q in pair.points],
-        "delta": [[float(c) for c in row] for row in pair.delta_coeffs],
-        "sigma": [[float(c) for c in row] for row in pair.cardinal_coeffs],
-        "cell_condition": [float(c) for c in pair.cell_condition_numbers()],
+        "points": pair.points.tolist(),
+        "delta": pair.delta_coeffs.tolist(),
+        "sigma": pair.cardinal_coeffs.tolist(),
+        "cell_condition": pair.cell_condition_numbers().tolist(),
     }
 
 

@@ -19,7 +19,11 @@ a node averages the limits that exist: ``0.5 * (minus + plus)`` inside, the
 one-sided limit at ``-beta`` and ``beta``.  :meth:`Space.node_terms` states
 this rule once for node values, side limits, jumps and node deltas;
 :meth:`Space.edges`, ``D`` and :meth:`Ultrafunction.sample` read the edge
-rows of all cells at once.
+rows of all cells at once.  The one-point paths (:meth:`Space.basis_values`,
+``u(x)``, node values) compute in Python floats in the order of the array
+paths (``polyval``'s Horner steps, ``DOUBLE_dot`` products), so their values
+match :meth:`Space.cell_basis_values` and :meth:`Ultrafunction.sample` bit
+for bit.
 
 All inner products and integrals use the per-cell Gauss rule with ``p + 2``
 points, exact for polynomial integrands of degree up to ``2p + 3``.
@@ -68,6 +72,7 @@ class Space:
         "grid",
         "degree",
         "_coeffs",
+        "_horner",
         "_quad_t",
         "_quad_w",
         "_quad_vals",
@@ -92,6 +97,8 @@ class Space:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_coeffs", coeffs)
+        # basis k's coefficients from the top power down, for basis_values
+        object.__setattr__(self, "_horner", coeffs[:, ::-1].tolist())
         object.__setattr__(self, "_quad_t", t)
         object.__setattr__(self, "_quad_w", w)
         object.__setattr__(self, "_quad_vals", np.ascontiguousarray(vals.T))
@@ -142,12 +149,23 @@ class Space:
     # ------------------------------------------------------------------
 
     def to_reference(self, j: int, x: float) -> float:
-        return (2.0 * x - 2.0 * self._mids[j]) / self._widths[j]
+        return (2.0 * x - 2.0 * self._mids.item(j)) / self._widths.item(j)
 
     def basis_values(self, j: int, x: float) -> np.ndarray:
-        """Values of the cell-``j`` basis polynomials at ``x`` (closure of the cell)."""
+        """Values of the cell-``j`` basis polynomials at ``x`` (closure of the cell).
+
+        Horner's rule on Python floats, in ``polyval``'s order, so each value
+        equals :meth:`cell_basis_values`' bit for bit.
+        """
         t = self.to_reference(j, float(x))
-        return self._scales[j] * npoly.polyval(t, self._coeffs.T)
+        zero = 0.0 * t
+        vals = []
+        for top, *rest in self._horner:
+            v = top + zero
+            for c in rest:
+                v = c + v * t
+            vals.append(v)
+        return self._scales.item(j) * np.array(vals)
 
     def cell_basis_values(self, cells, x) -> np.ndarray:
         """Basis values of cell ``cells[i]`` at every point of row ``x[i]``.
@@ -271,13 +289,12 @@ class Ultrafunction:
     # ------------------------------------------------------------------
 
     def __call__(self, x: float) -> float:
-        loc = self.space.grid.locate(x)
-        if loc.kind is PointKind.OUTSIDE:
-            return 0.0
-        if loc.kind is PointKind.INTERIOR:
-            j = loc.index
-            return float(self.blocks[j] @ self.space.basis_values(j, x))
-        return self.node_value(loc.index)
+        kind, j = self.space.grid._find(x)
+        if kind is PointKind.INTERIOR:
+            return float(self.blocks[j].dot(self.space.basis_values(j, x)))
+        if kind is PointKind.NODE:
+            return self.node_value(j)
+        return 0.0
 
     def node_value(self, j: int) -> float:
         """Value at node ``j``: one-sided at the endpoints, average inside."""
@@ -290,7 +307,7 @@ class Ultrafunction:
         return self._at_node(*self.space.node_terms(j, side))
 
     def _at_node(self, weight: float, terms) -> float:
-        values = [float(self.blocks[c] @ row) for c, row in terms]
+        values = [float(self.blocks[c].dot(row)) for c, row in terms]
         # exactly ``minus + plus``: sum() would add a 0 start and, from Python
         # 3.12, a compensation term
         return weight * (values[0] + values[1] if len(values) == 2 else values[0])

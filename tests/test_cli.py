@@ -496,6 +496,16 @@ def test_overflowing_expression_is_domain_error():
     assert cp.stdout == ""
 
 
+def test_overflowing_integrand_is_domain_error():
+    # 1e308 is finite; 1e308 times the basis is not
+    cp = run_cli("project", "--fn", "1e308", timeout=60)
+    assert cp.returncode == 1
+    assert cp.stderr.splitlines() == [
+        "ultracalc: error: the integrand overflows on cell 0: its values or their integral are not finite"
+    ]
+    assert cp.stdout == ""
+
+
 def test_singular_node_fails_with_quadrature_error():
     # -0.5 is a node of the default grid; the quadrature must give up before
     # it evaluates the expression at the singular point
@@ -601,3 +611,36 @@ def test_sample_csv_matches_pointwise_evaluation(tmp_path):
     assert any(u.space.grid.locate(float(x)).is_node for x in xs[1:-1])
     lines = ["x,value"] + [f"{float(x)!r},{float(u(float(x)))!r}" for x in xs]
     assert cp.stdout == "\n".join(lines) + "\n"
+
+
+def test_export_op_and_sample_bytes_match_per_element_formatting(tmp_path, capsys):
+    # the former formatting, _fmt(c) = repr(float(c)) per element, copied here
+    from ultracalc import calculus as calc
+    from ultracalc import serialize as ser
+
+    def fmt(x):
+        return repr(float(x))
+
+    space = tmp_path / "s.json"
+    member = tmp_path / "u.json"
+    assert cli.main(["space", "--cells", "24", "--tags", "0.3", "--degree", "3",
+                     "--out", str(space)]) == 0
+    assert cli.main(["project", "--space", str(space), "--fn", "sin(3*x)+abs(x-0.3)",
+                     "--out", str(member)]) == 0
+    sp = ser.space_from_dict(ser.load_json(str(space)))
+    u = ser.member_from_dict(ser.load_json(str(member)), sp)
+    capsys.readouterr()
+    for kind in ("D", "D2"):
+        matrix = calc.derivative_operator(sp, kind).matrix
+        assert cli.main(["export-op", "--space", str(space), "--kind", kind]) == 0
+        want = "\n".join(",".join(fmt(c) for c in row) for row in matrix) + "\n"
+        assert capsys.readouterr().out == want
+        assert cli.main(["export-op", "--space", str(space), "--kind", kind,
+                         "--format", "json"]) == 0
+        data = {"kind": kind, "space": ser.space_hash(sp),
+                "matrix": [[float(c) for c in row] for row in matrix]}
+        assert capsys.readouterr().out == ser.dump_json(data)
+    assert cli.main(["sample", str(member), "--points", "97"]) == 0
+    xs = np.linspace(-1.0, 1.0, 97)
+    want = "\n".join(["x,value"] + [f"{fmt(x)},{fmt(v)}" for x, v in zip(xs, u.sample(xs))]) + "\n"
+    assert capsys.readouterr().out == want

@@ -169,6 +169,22 @@ def test_infinities_lie_outside():
     assert kind.tolist() == [PointKind.OUTSIDE] * 2 and index.tolist() == [-1, -1]
 
 
+@pytest.mark.parametrize(
+    "x, kind, index",
+    [(np.float64(0.25), PointKind.INTERIOR, 2), (0, PointKind.NODE, 2), (-1, PointKind.NODE, 0),
+     (np.float64(0.5 + 2.0**-42), PointKind.NODE, 3), (np.int64(1), PointKind.NODE, 4)],
+    ids=["float64-interior", "int-node", "negative-int-end", "float64-snapped", "int64-end"],
+)
+def test_locate_returns_a_python_int_index(x, kind, index):
+    g = Grid.uniform(1.0, 4)
+    loc = g.locate(x)
+    assert loc.kind is kind and loc.index == index and type(loc.index) is int
+    if kind is PointKind.NODE:
+        assert type(g.node_index(x)) is int
+        assert type(g.snap(x)) is float
+    assert g.locate(np.float64(7.0)).index is None and g.locate(-2).index is None
+
+
 def test_classify_codes():
     g = Grid.uniform(1.0, 4)
     kind, index = g.classify([0.25, 0.5, 7.0, -1.0, 0.5 + 2.0**-42])

@@ -25,6 +25,7 @@ from ultracalc import (
     default_interpolation_points,
     delta,
 )
+from ultracalc.grid import SNAP_REL
 
 from strategies import grids
 
@@ -69,7 +70,7 @@ def test_classify_equals_locate(data):
 
 
 @settings(deadline=None)
-@given(data=st.data(), degree=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@given(data=st.data(), degree=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
 def test_sample_equals_pointwise_call(data, degree, seed):
     space = Space(data.draw(grids()), degree)
     xs = np.array(data.draw(probes(space.grid)))
@@ -77,6 +78,42 @@ def test_sample_equals_pointwise_call(data, degree, seed):
     u = Ultrafunction(space, rng.standard_normal((space.n_cells, space.block_size)))
     expected = [u(float(x)) for x in xs]
     np.testing.assert_array_equal(bits(u.sample(xs)), bits(expected))
+
+
+def delta_probes(grid: Grid):
+    """Nodes, points a few ulps off a node or off its snap window, and +-0.0."""
+    nodes = grid.nodes
+    node = st.sampled_from(nodes.tolist())
+    ulps = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    near = st.tuples(node, ulps).map(lambda t: off_by_ulps(*t))
+    # just past the window's edge, so interior with a reference coordinate near -1 or 1
+    past = st.tuples(node, ulps).map(
+        lambda t: off_by_ulps(t[0] + math.copysign(SNAP_REL * max(1.0, abs(t[0])), t[1]), t[1])
+    )
+    inside = st.floats(grid.beta * -0.999, grid.beta * 0.999)
+    return st.one_of(node, near, past, inside, st.sampled_from([0.0, -0.0]))
+
+
+@settings(deadline=None)
+@given(data=st.data(), degree=st.integers(0, 12))
+def test_delta_equals_batched_basis_values(data, degree):
+    space = Space(data.draw(grids()), degree)
+    q = data.draw(delta_probes(space.grid))
+    (kind,), (j,) = space.grid.classify([q])
+    if kind == PointKind.OUTSIDE:  # past the window of an end node
+        with pytest.raises(InvalidArgumentError, match="outside the support"):
+            delta(space, q)
+        return
+    want = np.zeros((space.n_cells, space.block_size))
+    if kind == PointKind.INTERIOR:
+        want[j] = space.cell_basis_values([j], np.array([[q]]))[0, 0]
+    else:  # the node rule on the batched edge rows
+        ell = space.n_cells
+        if j > 0:
+            want[j - 1] = (0.5 if j < ell else 1.0) * space.right_rows[j - 1]
+        if j < ell:
+            want[j] = (0.5 if j > 0 else 1.0) * space.left_rows[j]
+    np.testing.assert_array_equal(bits(delta(space, q).blocks), bits(want))
 
 
 def test_sample_of_nothing_is_empty():

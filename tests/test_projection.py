@@ -711,6 +711,20 @@ def test_non_finite_values_are_refused_in_the_first_pass(operation, value, shown
     assert f.calls <= 15 * ell
 
 
+@pytest.mark.parametrize(
+    "operation, value",
+    [("project", 1e308), ("l2_error", 1e200), ("integral_against_member", 1e308)],
+)
+def test_overflowing_integrand_is_refused_in_the_first_pass(operation, value):
+    # f is finite but the integrand (f times the basis, f times u, or
+    # (f - u)**2) is not; before, no interval was ever accepted
+    ell = 4
+    f = _Bounded(lambda x: value)
+    with pytest.raises(InvalidArgumentError, match=r"integrand overflows on cell 0"):
+        _OPERATIONS[operation](Space(Grid.uniform(1.0, ell), 1), f)
+    assert f.calls <= 15 * ell
+
+
 def test_non_finite_array_form_is_refused():
     h = FunctionHandle(math.exp, array=lambda x: np.where(x < -0.9, -np.inf, np.exp(x)))
     with pytest.raises(InvalidArgumentError, match=r"value -inf at x = -0\.9\d* in cell 0 "):

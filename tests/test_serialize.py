@@ -89,3 +89,30 @@ def test_basis_pair_dict_round_trips_duality():
     sigma = np.array(d["sigma"])
     assert np.max(np.abs(delta.T @ sigma - np.eye(sp.dim))) < 1e-10
     assert len(d["cell_condition"]) == sp.n_cells
+
+
+def test_number_formatting_matches_per_element_floats():
+    # the former formatting, one float() per element, on a tagged space at
+    # p = 3 whose blocks hold -0.0, subnormal and huge coefficients
+    sp = Space(Grid.with_tags(1.0, [-0.31, 0.2, 0.57], 0.1), 3)
+    blocks = np.random.default_rng(5).normal(size=(sp.n_cells, sp.block_size))
+    blocks[0, :3] = -0.0, 5e-324, 1.7e308
+    u = Ultrafunction(sp, blocks)
+    pair = basis_pair(sp)
+    old = {
+        "grid": {"beta": sp.grid.beta, "nodes": [float(x) for x in sp.grid.nodes]},
+        "member": {
+            "space": space_hash(sp),
+            "space_spec": space_to_dict(sp),
+            "blocks": [[float(c) for c in row] for row in u.blocks],
+        },
+        "pair": {
+            "space": space_hash(sp),
+            "points": [float(q) for q in pair.points],
+            "delta": [[float(c) for c in row] for row in pair.delta_coeffs],
+            "sigma": [[float(c) for c in row] for row in pair.cardinal_coeffs],
+            "cell_condition": [float(c) for c in pair.cell_condition_numbers()],
+        },
+    }
+    new = {"grid": grid_to_dict(sp.grid), "member": member_to_dict(u), "pair": basis_pair_to_dict(pair)}
+    assert json.dumps(new, indent=2, sort_keys=True) == json.dumps(old, indent=2, sort_keys=True)
