@@ -4,6 +4,11 @@ Spaces are identified in member files by a content hash over the grid nodes
 and the degree, so mismatched files fail loudly.  Member files additionally
 embed the full space description (``space_spec``) so they remain
 self-contained for sampling.
+
+Files are written compact: one line with sorted keys and each float's
+``repr``, through the json module's C encoder (``python -m json.tool``
+pretty-prints them).  Readers accept any layout, including the indented
+one that earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ def space_to_dict(space: Space) -> dict:
 
 def space_from_dict(data: dict) -> Space:
     try:
-        return Space(grid_from_dict(data["grid"]), int(data["degree"]))
+        return Space(grid_from_dict(data["grid"]), data["degree"])
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed space data: {exc}") from exc
 
@@ -92,7 +97,7 @@ def basis_pair_to_dict(pair: BasisPair) -> dict:
 
 
 def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 def load_json(path: str) -> dict:

@@ -4,11 +4,15 @@ Construction
 ------------
 On the reference interval ``[-1, 1]`` the monomials ``1, t, ..., t**p`` are
 orthonormalized by Gram-Schmidt (with one re-orthogonalization pass) against
-the exact Gauss inner product.  Each cell carries the affinely mapped copy of
-that basis, rescaled by ``sqrt(2 / h)`` so it stays orthonormal in L2 over the
-cell.  The whole space is the orthogonal direct sum of the cell spaces: basis
-elements of different cells have disjoint supports, so their inner product is
-exactly zero, never merely small.
+the exact Gauss inner product.  That reference basis, its Gauss rule, its
+derivative coupling and its edge values depend on the degree alone, so they
+are built once per degree and shared, read-only, by every space of that
+degree; a space adds only its grid's widths, midpoints and scales.  Each
+cell carries the affinely mapped copy of that basis, rescaled by
+``sqrt(2 / h)`` so it stays orthonormal in L2 over the cell.  The whole
+space is the orthogonal direct sum of the cell spaces: basis elements of
+different cells have disjoint supports, so their inner product is exactly
+zero, never merely small.
 
 Pointwise conventions
 ---------------------
@@ -31,6 +35,7 @@ points, exact for polynomial integrands of degree up to ``2p + 3``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -45,8 +50,19 @@ from .grid import Grid, PointKind
 Side = Literal["plus", "minus"]
 
 
-def _orthonormal_reference_basis(degree: int):
-    """Coefficients (rows -> monomial powers) of the orthonormal basis on [-1, 1]."""
+@functools.cache
+def _reference(degree: int):
+    """Everything about the degree-``degree`` basis on ``[-1, 1]`` that no grid changes.
+
+    Returns ``(coeffs, horner, t, w, quad_vals, deriv_ref, left, right)``:
+    the orthonormal basis as monomial coefficients (rows -> powers), the same
+    rows from the top power down as tuples (for Horner's rule on Python
+    floats), the ``p + 2`` Gauss points and weights, the basis values at
+    them ``(nq, n)``, the derivative coupling ``ref[m, k] = integral of
+    e_m * e_k'``, and the unscaled basis values at ``-1`` and ``1``.  The
+    cache hands the same arrays to every space of the degree, so they are
+    read-only.
+    """
     n = degree + 1
     t, w = leggauss(degree + 2)
     powers = t[:, None] ** np.arange(n)[None, :]  # (nq, n)
@@ -62,7 +78,18 @@ def _orthonormal_reference_basis(degree: int):
             for m in range(k):
                 c = c - dot(c, coeffs[m]) * coeffs[m]
         coeffs[k] = c / math.sqrt(dot(c, c))
-    return coeffs, t, w
+    vals = npoly.polyval(t, coeffs.T)  # (n, nq): basis k at quad point i
+    dcoeffs = np.zeros_like(coeffs)
+    if degree > 0:
+        dcoeffs[:, :-1] = coeffs[:, 1:] * np.arange(1, degree + 1)
+    dvals = npoly.polyval(t, dcoeffs.T)
+    quad_vals = np.ascontiguousarray(vals.T)
+    deriv_ref = (vals * w) @ dvals.T
+    left, right = npoly.polyval(-1.0, coeffs.T), npoly.polyval(1.0, coeffs.T)
+    for a in (coeffs, t, w, quad_vals, deriv_ref, left, right):
+        a.flags.writeable = False
+    horner = tuple(tuple(row) for row in coeffs[:, ::-1].tolist())
+    return coeffs, horner, t, w, quad_vals, deriv_ref, left, right
 
 
 class Space:
@@ -85,33 +112,30 @@ class Space:
     )
 
     def __init__(self, grid: Grid, degree: int):
-        if degree != int(degree) or int(degree) < 0:
-            raise InvalidArgumentError("degree must be a nonnegative integer")
+        try:
+            valid = not isinstance(degree, (bool, np.bool_)) and degree == int(degree) >= 0
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise InvalidArgumentError(f"degree must be a nonnegative integer, got {degree!r}")
         degree = int(degree)
-        coeffs, t, w = _orthonormal_reference_basis(degree)
-        vals = npoly.polyval(t, coeffs.T)  # (n, nq): basis k at quad point i
-        dcoeffs = np.zeros_like(coeffs)
-        if degree > 0:
-            dcoeffs[:, :-1] = coeffs[:, 1:] * np.arange(1, degree + 1)
-        dvals = npoly.polyval(t, dcoeffs.T)
+        coeffs, horner, t, w, vals, deriv_ref, left, right = _reference(degree)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_coeffs", coeffs)
-        # basis k's coefficients from the top power down, for basis_values
-        object.__setattr__(self, "_horner", coeffs[:, ::-1].tolist())
+        object.__setattr__(self, "_horner", horner)
         object.__setattr__(self, "_quad_t", t)
         object.__setattr__(self, "_quad_w", w)
-        object.__setattr__(self, "_quad_vals", np.ascontiguousarray(vals.T))
-        # reference derivative coupling: ref[m, k] = integral of e_m * e_k'
-        object.__setattr__(self, "_deriv_ref", (vals * w) @ dvals.T)
+        object.__setattr__(self, "_quad_vals", vals)
+        object.__setattr__(self, "_deriv_ref", deriv_ref)
         widths = grid.widths()
         scales = np.sqrt(2.0 / widths)
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_mids", 0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
         object.__setattr__(self, "_scales", scales)
         # edge rows (ell, n): row j is the cell-j basis at its left / right end
-        for name, t in (("left_rows", -1.0), ("right_rows", 1.0)):
-            rows = scales[:, None] * npoly.polyval(t, coeffs.T)
+        for name, ref_row in (("left_rows", left), ("right_rows", right)):
+            rows = scales[:, None] * ref_row
             rows.flags.writeable = False
             object.__setattr__(self, name, rows)
 
@@ -353,7 +377,18 @@ class Ultrafunction:
         return sp._product_integral(self.blocks, other.blocks)
 
     def norm(self) -> float:
-        return math.sqrt(max(self.inner(self), 0.0))
+        """L2 norm; where only its square overflows, computed on blocks scaled by a power of two."""
+        square = self.inner(self)
+        if not math.isfinite(square) and np.isfinite(self.blocks).all():
+            # scaling by a power of two is exact, so only the overflow is avoided
+            e = math.frexp(float(np.max(np.abs(self.blocks))))[1]
+            scaled = np.ldexp(self.blocks, -e)
+            root = math.sqrt(max(self.space._product_integral(scaled, scaled), 0.0))
+            try:
+                return math.ldexp(root, e)
+            except OverflowError:  # the norm itself exceeds the largest float
+                return math.inf
+        return math.sqrt(max(square, 0.0))
 
     # ------------------------------------------------------------------
     # algebra

@@ -644,3 +644,44 @@ def test_export_op_and_sample_bytes_match_per_element_formatting(tmp_path, capsy
     xs = np.linspace(-1.0, 1.0, 97)
     want = "\n".join(["x,value"] + [f"{fmt(x)},{fmt(v)}" for x, v in zip(xs, u.sample(xs))]) + "\n"
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("degree", [2.5, -0.5, True, "2"])
+def test_space_file_with_a_malformed_degree_is_refused(tmp_path, capsys, degree):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"grid": {"beta": 1.0, "nodes": [-1.0, 0.0, 1.0]},
+                                "degree": degree}))
+    assert cli.main(["delta", "--space", str(path), "--at", "0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree must be a nonnegative integer" in captured.err
+
+
+def test_indented_files_of_earlier_versions_give_the_same_output(tmp_path, capsys):
+    # earlier versions wrote JSON with indent=2; only the whitespace differs
+    compact, indented = tmp_path / "compact", tmp_path / "indented"
+    compact.mkdir()
+    indented.mkdir()
+    assert cli.main(["space", "--cells", "6", "--tags", "0.3", "--degree", "3",
+                     "--out", str(compact / "s.json")]) == 0
+    assert cli.main(["project", "--space", str(compact / "s.json"), "--fn", "sin(3*x)",
+                     "--out", str(compact / "u.json")]) == 0
+    ladder = {"base": {"beta": 1.0, "cells": 4, "degree": 1}, "levels": 3, "target": 0.0}
+    (compact / "ladder.json").write_text(json.dumps(ladder, sort_keys=True) + "\n")
+    for name in ("s.json", "u.json", "ladder.json"):
+        text = (compact / name).read_text()
+        assert text.count("\n") == 1
+        (indented / name).write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    outputs = {}
+    for d in (compact, indented):
+        s, u = str(d / "s.json"), str(d / "u.json")
+        for argv in (["derive", "--space", s, "--in", u, "--kind", "D"],
+                     ["sample", u, "--points", "31"],
+                     ["integrate", "--space", s, "--in", u, "--from", "-1", "--to", "0.3"],
+                     ["refine", "--config", str(d / "ladder.json"),
+                      "--observe", "proj-error:sin(x)"]):
+            assert cli.main(argv) == 0, argv
+            outputs.setdefault(argv[0], []).append(capsys.readouterr().out)
+    for name, (a, b) in outputs.items():
+        assert a == b and a, name

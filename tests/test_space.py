@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.legendre import leggauss
 
+from strategies import grids
 from ultracalc import Grid, InvalidArgumentError, Space, Ultrafunction
 
 
@@ -192,3 +197,126 @@ def test_blocks_read_only(space):
     u = space.constant(1.0)
     with pytest.raises(ValueError):
         u.blocks[0, 0] = 5.0
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def reference_cell(grid: Grid, degree: int) -> dict:
+    """The per-space construction that every ``Space`` ran before the
+    reference cell was shared, copied here as the reference."""
+    n = degree + 1
+    t, w = leggauss(degree + 2)
+    powers = t[:, None] ** np.arange(n)[None, :]
+
+    def dot(a, b):
+        return float(np.sum(w * (powers @ a) * (powers @ b)))
+
+    coeffs = np.zeros((n, n))
+    for k in range(n):
+        c = np.zeros(n)
+        c[k] = 1.0
+        for _ in range(2):
+            for m in range(k):
+                c = c - dot(c, coeffs[m]) * coeffs[m]
+        coeffs[k] = c / math.sqrt(dot(c, c))
+    vals = npoly.polyval(t, coeffs.T)
+    dcoeffs = np.zeros_like(coeffs)
+    if degree > 0:
+        dcoeffs[:, :-1] = coeffs[:, 1:] * np.arange(1, degree + 1)
+    dvals = npoly.polyval(t, dcoeffs.T)
+    scales = np.sqrt(2.0 / grid.widths())
+    return {
+        "coeffs": coeffs,
+        "horner": coeffs[:, ::-1].tolist(),
+        "quad_vals": np.ascontiguousarray(vals.T),
+        "deriv_ref": (vals * w) @ dvals.T,
+        "left_rows": scales[:, None] * npoly.polyval(-1.0, coeffs.T),
+        "right_rows": scales[:, None] * npoly.polyval(1.0, coeffs.T),
+    }
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_shared_reference_cell_matches_the_per_space_construction(degree):
+    grid = Grid.with_tags(1.5, [-0.7, 0.01, 0.9], 0.3)
+    ref = reference_cell(grid, degree)
+    sp = Space(grid, degree)
+    for name in ("quad_vals", "deriv_ref"):
+        np.testing.assert_array_equal(bits(getattr(sp, "_" + name)), bits(ref[name]))
+    for name in ("left_rows", "right_rows"):
+        np.testing.assert_array_equal(bits(getattr(sp, name)), bits(ref[name]))
+    rng = np.random.default_rng(degree)
+    cells = np.arange(sp.n_cells)
+    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
+    x = a + (b - a) * rng.uniform(0.0, 1.0, size=(sp.n_cells, 5))
+    t = (2.0 * x - 2.0 * sp._mids[:, None]) / sp._widths[:, None]
+    want = sp._scales[:, None, None] * np.moveaxis(npoly.polyval(t, ref["coeffs"].T), 0, -1)
+    got = sp.cell_basis_values(cells, x)
+    np.testing.assert_array_equal(bits(got), bits(want))
+    for j in cells:
+        for i, xi in enumerate(x[j].tolist()):
+            ti = sp.to_reference(j, xi)
+            values = []
+            for top, *rest in ref["horner"]:
+                v = top + 0.0 * ti
+                for c in rest:
+                    v = c + v * ti
+                values.append(v)
+            want_one = sp._scales.item(j) * np.array(values)
+            np.testing.assert_array_equal(bits(sp.basis_values(j, xi)), bits(want_one))
+            np.testing.assert_array_equal(bits(got[j, i]), bits(want_one))
+
+
+SHARED = ("_coeffs", "_horner", "_quad_t", "_quad_w", "_quad_vals", "_deriv_ref")
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_spaces_of_one_degree_share_read_only_reference_arrays(degree):
+    a = Space(Grid.uniform(1.0, 4), degree)
+    b = Space(Grid.with_tags(3.0, [0.5], 0.7), degree)
+    for name in SHARED:
+        assert getattr(a, name) is getattr(b, name), name
+    assert a._quad_vals is not Space(a.grid, degree + 1)._quad_vals
+    for name in (*SHARED, "left_rows", "right_rows"):
+        value = getattr(a, name)
+        if name == "_horner":
+            with pytest.raises(TypeError):
+                value[0] = ()
+            continue
+        with pytest.raises(ValueError):
+            value[(0,) * value.ndim] = 1.0
+
+
+@pytest.mark.parametrize("degree", [2.5, -0.5, True, np.True_, "2", None, float("nan"), -1])
+def test_malformed_degree_is_refused(degree):
+    with pytest.raises(InvalidArgumentError, match="degree"):
+        Space(Grid.uniform(1.0, 4), degree)
+
+
+def test_integral_float_degree_is_accepted():
+    sp = Space(Grid.uniform(1.0, 4), 2.0)
+    assert sp.degree == 2 and type(sp.degree) is int
+    assert sp == Space(Grid.uniform(1.0, 4), np.int64(2))
+
+
+def test_norm_does_not_overflow_for_huge_finite_members():
+    u = Space(Grid.uniform(1.0, 4), 1).constant(1e200)
+    assert u.norm() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert "norm=1.41421e+200" in repr(u)
+    # orthonormal basis: the norm is that of the coefficient vector
+    v = Ultrafunction(u.space, np.full((4, 2), -1e300))
+    assert v.norm() == pytest.approx(math.sqrt(8.0) * 1e300, rel=1e-15)
+    blocks = np.zeros((4, 2))
+    blocks[:, 0] = 1.5e308  # norm 3e308 is past the largest float
+    assert Ultrafunction(u.space, blocks).norm() == math.inf
+
+
+@settings(deadline=None, max_examples=60)
+@given(grid=grids(), degree=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-150.0, 150.0))
+def test_norm_equals_the_plain_formula_on_ordinary_members(grid, degree, seed, scale):
+    sp = Space(grid, degree)
+    blocks = np.random.default_rng(seed).standard_normal((sp.n_cells, sp.block_size))
+    u = Ultrafunction(sp, blocks * 10.0**scale)
+    assert bits(u.norm()) == bits(math.sqrt(max(u.inner(u), 0.0)))
