@@ -191,8 +191,15 @@ def _config_field(config: dict, key: str, convert, default=None):
     value = config.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"refine config: bad {key!r} value {value!r}") from exc
+
+
+def _integral(value) -> int:
+    """A JSON number with an integral value; a bool, string or fraction is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError("not an integer")
+    return int(value)
 
 
 def _cmd_refine(args) -> int:
@@ -201,12 +208,14 @@ def _cmd_refine(args) -> int:
     if not isinstance(base_cfg, dict):
         raise InvalidArgumentError("refine config must be a JSON object with a 'base' object")
     base = Space(
-        Grid.uniform(_config_field(base_cfg, "beta", float), _config_field(base_cfg, "cells", int)),
-        _config_field(base_cfg, "degree", int),
+        Grid.uniform(
+            _config_field(base_cfg, "beta", float), _config_field(base_cfg, "cells", _integral)
+        ),
+        _config_field(base_cfg, "degree", _integral),
     )
     ladder = Ladder.from_base(
         base,
-        _config_field(config, "levels", int),
+        _config_field(config, "levels", _integral),
         config.get("policy", "dyadic-split"),
         factor=_config_field(config, "factor", float, 2.0),
     )

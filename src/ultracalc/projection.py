@@ -23,8 +23,12 @@ max|integrand|`` of the panel; it keeps its Kronrod sum.  The error each
 interval achieves is thus ``max(tol, rounding floor)``: a tolerance below
 rounding is met at the floor instead of splitting toward the width limit.
 Every other interval is split, and the next level evaluates all the children
-at once, each with a fresh panel, at half the tolerance.  The intervals of a
-level go to the integrand 64 at a time as one point array, and to ``f``
+at once, each with a fresh panel, at half the tolerance.  The first level's
+panels are whole cells, so their basis values are each cell's scale times
+one table per degree, the reference basis at the rule's nodes; only the
+split children and the pieces toward a singular point map their points
+back to the cell.  The intervals of a level go to the integrand 64 at a
+time as one array of values of ``f`` with their basis values, and to ``f``
 through its handle's array form; for a plain callable such as ``math.sin``
 that form calls ``f`` on one Python float at a time.  So where a numpy scalar
 would have given inf or NaN, a plain callable raises Python's own error
@@ -64,6 +68,7 @@ import numpy as np
 from numpy.polynomial import legendre as leg
 
 from .errors import InvalidArgumentError, QuadratureError
+from .grid import Grid
 from .space import Space, Ultrafunction
 
 DEFAULT_TOL = 1e-12
@@ -158,6 +163,21 @@ def _gauss_kronrod(n: int):
     return t, w
 
 
+@functools.cache
+def _panel_rule(degree: int):
+    """The panel rule for a degree and the orthonormal basis at its nodes.
+
+    Returns ``(t, w, table)``: ``_gauss_kronrod(max(7, degree + 1))``, whose
+    Gauss part is exact on ``f`` times the basis for ``f`` of the degree, and
+    the read-only ``(2n + 1, degree + 1)`` basis values of the cell ``[-1, 1]``
+    at ``t``.  A whole cell's panel has basis values ``scale * table``.
+    """
+    t, w = _gauss_kronrod(max(7, degree + 1))
+    table = Space(Grid([-1.0, 1.0]), degree).cell_basis_values([0], t[None])[0]
+    table.flags.writeable = False
+    return t, w, table
+
+
 def _accepted(sums, peak, lo, hi, tol):
     """Kronrod-Gauss test against ``tol`` or the rounding floor, or an interval too narrow to split.
 
@@ -169,31 +189,42 @@ def _accepted(sums, peak, lo, hi, tol):
     return (err <= tol) | (err < _ROUNDING * (hi - lo) * peak) | ((hi - lo) <= width)
 
 
-def _panels(integrand, handle, cells, lo, hi, rule):
+def _panels(integrand, handle, space, cells, lo, hi, whole):
     """Kronrod and embedded Gauss sums over the intervals ``[lo, hi]`` of the m ``cells``.
 
-    The points of ``_CHUNK`` intervals at a time go to ``handle.array`` and
-    ``integrand`` in one call.  Both sums add the weighted values in rule
-    order, one point after the other (``np.add.accumulate`` is sequential).
-    A value of ``f`` that is not finite raises ``InvalidArgumentError``;
-    an overflow of the integrand or of its sums is left to the caller.
-    Returns the ``(m, 2, r)`` sums, Kronrod first, and each interval's
-    largest ``|integrand|``.
+    The points of ``_CHUNK`` intervals at a time go to ``handle.array``, and
+    their values with the cells' basis values at the points to
+    ``integrand(cells, fx, basis)``, in one call each.  When the intervals
+    are ``whole`` cells the basis values are each cell's scale times the
+    per-degree table of :func:`_panel_rule`, built one chunk at a time;
+    otherwise :meth:`Space.cell_basis_values` maps the points back to their
+    cells.  Both sums add the weighted values in rule order, one point after
+    the other (``np.add.accumulate`` is sequential).  A value of ``f`` that
+    is not finite raises ``InvalidArgumentError``; an overflow of the
+    integrand or of its sums is left to the caller.  Returns the ``(m, 2,
+    r)`` sums, Kronrod first, and each interval's largest ``|integrand|``.
     """
-    t, w = rule
+    t, w, table = _panel_rule(space.degree)
     sums, peak = [], []
     for start in range(0, len(cells), _CHUNK):
         rows = slice(start, start + _CHUNK)
+        chunk = cells[rows]
         mid, half = 0.5 * (lo[rows] + hi[rows]), 0.5 * (hi[rows] - lo[rows])
         x = mid[:, None] + half[:, None] * t
         fx = handle.array(x)
         if not np.isfinite(fx).all():
-            _refuse_non_finite(cells[rows], x, fx)
+            _refuse_non_finite(chunk, x, fx)
+        if whole:
+            basis = space._scales[chunk][:, None, None] * table
+        else:
+            basis = space.cell_basis_values(chunk, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = integrand(cells[rows], x, fx)
+            values = integrand(chunk, fx, basis)
             total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
             sums.append(half[:, None, None] * total)
         peak.append(np.abs(values).max(axis=(1, 2)))
+    if len(sums) == 1:
+        return sums[0], peak[0]
     return np.concatenate(sums), np.concatenate(peak)
 
 
@@ -206,9 +237,11 @@ def _refuse_non_finite(cells, x, fx):
     )
 
 
-def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:
+def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.ndarray:
     """Integrals over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
 
+    ``whole`` says that the intervals are the cells themselves; it holds for
+    the first level only, the children of a split never being whole cells.
     Bisects level by level.  Each level evaluates the Kronrod panel of every
     open interval once; an interval whose Kronrod and embedded Gauss sums
     differ by more than ``tol`` and its rounding floor is split in two, the
@@ -221,7 +254,7 @@ def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:
     """
     levels = []
     for depth in range(MAX_SUBDIVISIONS + 1):
-        sums, peak = _panels(integrand, handle, cells, lo, hi, rule)
+        sums, peak = _panels(integrand, handle, space, cells, lo, hi, whole and depth == 0)
         # an integrand value that is not finite leaves its Kronrod sum so too
         if not np.isfinite(sums).all():
             j = int(cells[np.argmin(np.isfinite(sums).all(axis=(1, 2)))])
@@ -247,7 +280,7 @@ def _intervals(integrand, handle, cells, lo, hi, tol, rule) -> np.ndarray:
     return total
 
 
-def _toward_singularity(integrand, handle, j, s, far, tol, rule) -> np.ndarray:
+def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
     """Sum integrals over geometrically shrinking intervals of cell ``j`` approaching ``s``.
 
     Stops short of a piece that rounds onto ``s``, so ``s`` is never evaluated.
@@ -259,14 +292,14 @@ def _toward_singularity(integrand, handle, j, s, far, tol, rule) -> np.ndarray:
         lo, hi = (inner, outer) if inner < outer else (outer, inner)
         if inner == s or lo == hi:
             break
-        piece = _intervals(integrand, handle, cells, np.array([lo]), np.array([hi]), tol, rule)[0]
+        piece = _intervals(integrand, handle, space, cells, np.array([lo]), np.array([hi]), tol)[0]
         total = piece if total is None else total + piece
         if float(np.max(np.abs(piece))) < tol:
             return total
     raise QuadratureError(f"singular quadrature did not converge on cell {j}", j)
 
 
-def _integrate_cell(integrand, handle, j, a, b, tol, rule) -> np.ndarray:
+def _integrate_cell(integrand, handle, space, j, a, b, tol) -> np.ndarray:
     """Integral over cell ``j = [a, b]``, which holds declared singular points."""
     sing = sorted(s for s in handle.singular if a <= s <= b)
     # split at singular points; each resulting piece has the singularity
@@ -278,37 +311,39 @@ def _integrate_cell(integrand, handle, j, a, b, tol, rule) -> np.ndarray:
         hi_sing = hi in sing
         if lo_sing and hi_sing:
             mid = 0.5 * (lo + hi)
-            total = total + _toward_singularity(integrand, handle, j, lo, mid, tol, rule)
-            total = total + _toward_singularity(integrand, handle, j, hi, mid, tol, rule)
+            total = total + _toward_singularity(integrand, handle, space, j, lo, mid, tol)
+            total = total + _toward_singularity(integrand, handle, space, j, hi, mid, tol)
         elif lo_sing:
-            total = total + _toward_singularity(integrand, handle, j, lo, hi, tol, rule)
+            total = total + _toward_singularity(integrand, handle, space, j, lo, hi, tol)
         else:
-            total = total + _toward_singularity(integrand, handle, j, hi, lo, tol, rule)
+            total = total + _toward_singularity(integrand, handle, space, j, hi, lo, tol)
     return total
 
 
 def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None) -> np.ndarray:
-    """Integral of ``integrand(cells, x, f(x))`` over each listed cell.
+    """Integral of ``integrand(cells, fx, basis)`` over each listed cell.
 
-    ``integrand`` maps an ``(m, P)`` array of points, one row per cell, to an
-    ``(m, P, r)`` array; the result has one length-``r`` row per listed cell
-    (default: all cells, in order).
+    ``integrand`` maps the ``(m, P)`` values of ``f`` at the points of m
+    intervals, one row per cell, and the cells' ``(m, P, n)`` basis values
+    there to an ``(m, P, r)`` array; the result has one length-``r`` row per
+    listed cell (default: all cells, in order).
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be a positive finite number, got {tol!r}")
-    # the Gauss part is exact on f times the basis for a degree-p polynomial f
-    rule = _gauss_kronrod(max(7, space.degree + 1))
     cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
     a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
+    if not handle.singular:
+        return _intervals(integrand, handle, space, cells, a, b, tol, whole=True)
     s = np.asarray(handle.singular, dtype=float)
     holds = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
     regular, singular = np.flatnonzero(~holds), np.flatnonzero(holds)
     parts = []
     if regular.size:
-        bounds = a[regular], b[regular]
-        parts.append(_intervals(integrand, handle, cells[regular], *bounds, tol, rule))
+        rows = cells[regular], a[regular], b[regular]
+        parts.append(_intervals(integrand, handle, space, *rows, tol, whole=True))
     for i in singular:
-        parts.append(_integrate_cell(integrand, handle, int(cells[i]), a[i], b[i], tol, rule)[None])
+        cell = _integrate_cell(integrand, handle, space, int(cells[i]), a[i], b[i], tol)
+        parts.append(cell[None])
     integrals = np.concatenate(parts)
     out = np.empty_like(integrals)
     out[np.concatenate([regular, singular])] = integrals
@@ -318,8 +353,8 @@ def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None)
 def _load_vectors(space: Space, handle: FunctionHandle, tol, cells=None) -> np.ndarray:
     """Integrals of ``f`` against each basis polynomial of each listed cell."""
 
-    def integrand(cells, x, fx):
-        return fx[..., None] * space.cell_basis_values(cells, x)
+    def integrand(cells, fx, basis):
+        return fx[..., None] * basis
 
     return _integrate(space, handle, integrand, tol, cells)
 
@@ -328,10 +363,10 @@ def _member_integral(handle: FunctionHandle, u: Ultrafunction, pointwise, tol) -
     """Sum over cells of the integral of ``pointwise(f(x), u(x))``."""
     space = u.space
 
-    def integrand(cells, x, fx):
+    def integrand(cells, fx, basis):
         # vecdot over contiguous rows sums each point's dot product in the
         # same order as ``block @ basis_values``
-        ux = np.vecdot(space.cell_basis_values(cells, x), u.blocks[cells][:, None, :])
+        ux = np.vecdot(basis, u.blocks[cells][:, None, :])
         return pointwise(fx, ux)[..., None]
 
     total = 0.0

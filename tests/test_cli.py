@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -456,6 +457,32 @@ def test_malformed_refine_config_is_domain_error(tmp_path, capsys, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "refine config" in captured.err
+
+
+_LADDER = {"base": {"beta": 1.0, "cells": 4, "degree": 2}, "levels": 3, "target": 0.0}
+
+
+@pytest.mark.parametrize("value", [4.7, 2.5, 3.9, "4", "3", True, False, None, [3], math.inf])
+@pytest.mark.parametrize("field", ["cells", "degree", "levels"])
+def test_refine_config_integer_fields_refuse_non_integers(tmp_path, capsys, field, value):
+    config = json.loads(json.dumps(_LADDER))
+    (config if field == "levels" else config["base"])[field] = value
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["refine", "--config", str(path), "--observe", "proj-error:sin(x)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"refine config: bad {field!r} value" in captured.err
+
+
+def test_refine_config_accepts_integral_floats(tmp_path, capsys):
+    config = {"base": {"beta": 1.0, "cells": 4.0, "degree": 2.0}, "levels": 3.0, "target": 0.0}
+    for name, cfg in (("floats", config), ("ints", _LADDER)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        assert cli.main(["refine", "--config", str(tmp_path / f"{name}.json"),
+                         "--observe", "proj-error:sin(x)"]) == 0
+    floats, ints = capsys.readouterr().out.split("level,value,error,order")[1:]
+    assert floats == ints and len(floats.strip().splitlines()) == 3
 
 
 def test_export_op_json(space_file):

@@ -323,6 +323,10 @@ def test_mixed_first_pass_and_bisection_on_tagged_grid(p):
 def _per_point_reference(space, fvec, tol=1e-12, singular=()):
     """Per-cell adaptive G7/K15 bisection with one scalar integrand call per point.
 
+    ``fvec(j, x, e)`` is the integrand at the point ``x`` of cell ``j``,
+    where ``e`` holds the cell's basis values there.  On a panel over a whole
+    cell, ``e`` is the cell's scale times the basis of the cell ``[-1, 1]`` at
+    the rule node; on any other panel it is ``space.basis_values(j, x)``.
     An interval is accepted when its Kronrod and Gauss sums differ by at most
     ``tol``, or by less than 50 eps times its width times the largest
     ``|integrand|`` at its points, or when it is too narrow to split.  Cells
@@ -331,20 +335,27 @@ def _per_point_reference(space, fvec, tol=1e-12, singular=()):
     """
     t, (wk, wg) = _gauss_kronrod(max(7, space.degree + 1))
     eps = np.finfo(float).eps
+    reference_cell = Space(Grid([-1.0, 1.0]), space.degree)
 
-    def panel(j, lo, hi):
+    def panel(j, lo, hi, whole):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        scale = math.sqrt(2.0 / (hi - lo))
         kron = gauss = peak = 0.0
         for ti, ki, gi in zip(t, wk, wg):
-            v = np.asarray(fvec(j, mid + half * ti))
+            x = mid + half * ti
+            if whole:
+                e = scale * reference_cell.basis_values(0, ti)
+            else:
+                e = space.basis_values(j, x)
+            v = np.asarray(fvec(j, x, e))
             kron = kron + ki * v
             if gi:
                 gauss = gauss + gi * v
             peak = max(peak, float(np.max(np.abs(v))))
         return half * kron, half * gauss, peak
 
-    def adaptive(j, lo, hi, tol):
-        kron, gauss, peak = panel(j, lo, hi)
+    def adaptive(j, lo, hi, tol, whole=False):
+        kron, gauss, peak = panel(j, lo, hi, whole)
         err = np.max(np.abs(kron - gauss))
         if err <= tol or err < 50 * eps * (hi - lo) * peak:
             return kron
@@ -369,7 +380,7 @@ def _per_point_reference(space, fvec, tol=1e-12, singular=()):
         a, b = space.grid.cell_bounds(j)
         sing = sorted(s for s in singular if a <= s <= b)
         if not sing:
-            return adaptive(j, a, b, tol)
+            return adaptive(j, a, b, tol, whole=True)
         cuts = [a] + [s for s in sing if a < s < b] + [b]
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -398,14 +409,14 @@ def test_batched_engine_matches_per_point_reference(p):
     rng = np.random.default_rng(p)
     v = random_member(sp, rng)
     for f in (smooth_fn(rng), lambda x: abs(x - 0.61)):
-        ref = _per_point_reference(sp, lambda j, x: f(x) * sp.basis_values(j, x))
+        ref = _per_point_reference(sp, lambda j, x, e: f(x) * e)
         assert np.array_equal(project(sp, f).blocks, ref)
         assert integral_against_member(f, v) == _cell_sum(
-            sp, lambda j, x: f(x) * (v.blocks[j] @ sp.basis_values(j, x))
+            sp, lambda j, x, e: f(x) * (v.blocks[j] @ e)
         )
 
-        def squared_error(j, x):
-            d = f(x) - v.blocks[j] @ sp.basis_values(j, x)
+        def squared_error(j, x, e):
+            d = f(x) - v.blocks[j] @ e
             return d * d
 
         assert l2_error(f, v) == math.sqrt(_cell_sum(sp, squared_error))
@@ -428,7 +439,7 @@ def test_singular_tail_matches_per_point_reference(ell, p):
     # odd cell counts put the singular point inside the middle cell
     sp = Space(Grid.uniform(1.0, ell), p)
     ref = _per_point_reference(
-        sp, lambda j, x: _inv_sqrt_kink(x) * sp.basis_values(j, x), 1e-9, (0.0,)
+        sp, lambda j, x, e: _inv_sqrt_kink(x) * e, 1e-9, (0.0,)
     )
     u = project(sp, FunctionHandle(_inv_sqrt_kink, (0.0,)), tol=1e-9)
     assert np.array_equal(u.blocks, ref)
@@ -442,7 +453,7 @@ def test_failing_singular_tail_names_the_reference_cell():
         return abs(x) ** -0.5 + abs(x - 0.05) ** -0.5
 
     with pytest.raises(QuadratureError) as ref:
-        _per_point_reference(sp, lambda j, x: f(x) * sp.basis_values(j, x), 1e-9, singular)
+        _per_point_reference(sp, lambda j, x, e: f(x) * e, 1e-9, singular)
     with pytest.raises(QuadratureError) as err:
         project(sp, FunctionHandle(f, singular), tol=1e-9)
     assert err.value.cell_index == ref.value.cell_index
@@ -475,11 +486,83 @@ def test_engine_names_the_lowest_of_several_failing_cells():
     # the jump interval of both copies splits to depth 60; the engine takes
     # them in one level batch and names the lower cell
     h = FunctionHandle(lambda x: float(x > 0.7))
+    sp = Space(Grid.uniform(1e4, 4), 1)
     lo, hi = np.array([-3000.0, -3000.0]), np.array([2000.0, 2000.0])
-    rule = _gauss_kronrod(7)
     with pytest.raises(QuadratureError) as err:
-        _intervals(lambda cells, x, fx: fx[..., None], h, np.array([1, 3]), lo, hi, 1e-6, rule)
+        _intervals(lambda cells, fx, basis: fx[..., None], h, sp, np.array([1, 3]), lo, hi, 1e-6)
     assert err.value.cell_index == 1
+
+
+def _spy_integrands(monkeypatch, check):
+    """Run ``check(cells, fx, basis)`` on every integrand call the engine makes."""
+    real = projection._integrate
+
+    def spying(space, handle, integrand, tol, cells=None):
+        def spy(cells, fx, basis):
+            check(cells, fx, basis)
+            return integrand(cells, fx, basis)
+
+        return real(space, handle, spy, tol, cells)
+
+    monkeypatch.setattr(projection, "_integrate", spying)
+
+
+@pytest.mark.parametrize("op", ["project", "l2_error"])
+def test_integrand_and_basis_arrays_span_at_most_one_chunk(monkeypatch, op):
+    sp = Space(Grid.uniform(1.0, 16384), 6)
+    sizes, rows = [], []
+
+    def sin(x):
+        rows.append(x.shape[0])
+        return np.sin(x)
+
+    def check(cells, fx, basis):
+        sizes.append(len(cells))
+        assert fx.shape == (len(cells), 15) and basis.shape == (len(cells), 15, 7)
+
+    _spy_integrands(monkeypatch, check)
+    handle = FunctionHandle(math.sin, array=sin)
+    if op == "project":
+        project(sp, handle)
+    else:
+        l2_error(handle, random_member(sp, np.random.default_rng(0)))
+    assert max(sizes) == max(rows) == projection._CHUNK
+    # every cell is accepted at the first level
+    assert sum(sizes) == sum(rows) == sp.n_cells
+
+
+@pytest.mark.parametrize("p", [2, 6])
+def test_first_level_basis_is_the_scaled_reference_table(monkeypatch, p):
+    sp = Space(_tagged_grid(16384, p), p)
+    t = _gauss_kronrod(7)[0]
+    reference_cell = Space(Grid([-1.0, 1.0]), p)
+    table = np.array([reference_cell.basis_values(0, ti) for ti in t])
+    assert np.array_equal(projection._panel_rule(p)[2], table)
+    scales = np.sqrt(2.0 / sp.grid.widths())
+    seen = []
+
+    def check(cells, fx, basis):
+        assert np.array_equal(basis, scales[cells][:, None, None] * table)
+        seen.extend(cells.tolist())
+
+    _spy_integrands(monkeypatch, check)
+    project(sp, FunctionHandle(math.sin, array=np.sin))
+    assert seen == list(range(sp.n_cells))
+
+
+def test_l2_error_accepts_every_cell_of_a_fine_grid_at_the_first_level():
+    # mapping each point back to its cell as (2x - 2 mid) / h cancels; at this
+    # size that rounding made the Kronrod-Gauss test bisect 10 levels deep
+    sp = Space(Grid.uniform(1.0, 1024), 6)
+    u = random_member(sp, np.random.default_rng(0))
+    f = _Bounded()
+    got = l2_error(f, u)
+    assert f.calls == 1024 * 15
+    t, w = np.polynomial.legendre.leggauss(20)
+    a, b = sp.grid.nodes[:-1], sp.grid.nodes[1:]
+    x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
+    d = np.sin(x) - np.vecdot(sp.cell_basis_values(np.arange(1024), x), u.blocks[:, None, :])
+    assert abs(got - math.sqrt(np.sum(0.5 * (b - a) * (d * d @ w)))) <= 1e-10
 
 
 class _Bounded:
@@ -541,7 +624,7 @@ def test_two_singular_points_match_per_point_reference(ell, p):
     sp = Space(Grid.uniform(1.0, ell), p)
     singular = (0.1, 0.25)
     ref = _per_point_reference(
-        sp, lambda j, x: _two_inv_sqrt(x) * sp.basis_values(j, x), 1e-6, singular
+        sp, lambda j, x, e: _two_inv_sqrt(x) * e, 1e-6, singular
     )
     u = project(sp, FunctionHandle(_two_inv_sqrt, singular), tol=1e-6)
     assert np.array_equal(u.blocks, ref)
