@@ -6,6 +6,11 @@ it returns the member's value at ``q``.  At a node, the delta member and the
 one-sided deltas follow the node rule stated in :mod:`ultracalc.space`, so
 pairing with them gives the node value or the side limit.
 
+A delta lives on one cell, or on two at an interior node, and stores only
+those blocks: building one costs ``O(p)`` whatever the number of cells.  Its
+dense ``blocks`` array is built on first read (see ``space._CellLocal``);
+so are those of the basis-pair members below.
+
 A full set of ``p + 1`` interior points per cell yields a basis of delta
 members.  Its dual basis consists of cardinal (Lagrange-type) interpolants:
 ``cardinal_a(b) == (a == b)`` on the point set, so members are recovered from
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import IndependenceError, InvalidArgumentError
 from .grid import PointKind
-from .space import Side, Space, Ultrafunction
+from .space import Side, Space, Ultrafunction, _CellLocal
 
 
 class DeltaKind(Enum):
@@ -57,9 +62,7 @@ def delta(space: Space, q: float) -> Ultrafunction:
         raise InvalidArgumentError(f"center {q!r} lies outside the support")
     if kind is PointKind.NODE:
         return _node_delta(space, *space.node_terms(j))
-    blocks = np.zeros((space.n_cells, space.block_size))
-    blocks[j] = space.basis_values(j, q)
-    return Ultrafunction(space, blocks)
+    return _CellLocal(space, ((j, space.basis_values(j, q)),))
 
 
 def delta_sided(space: Space, j: int, side: Side) -> Ultrafunction:
@@ -70,10 +73,7 @@ def delta_sided(space: Space, j: int, side: Side) -> Ultrafunction:
 
 
 def _node_delta(space: Space, weight: float, terms) -> Ultrafunction:
-    blocks = np.zeros((space.n_cells, space.block_size))
-    for cell, row in terms:
-        blocks[cell] = weight * row
-    return Ultrafunction(space, blocks)
+    return _CellLocal(space, tuple((cell, weight * row) for cell, row in terms))
 
 
 def default_interpolation_points(space: Space) -> np.ndarray:
@@ -133,22 +133,17 @@ class BasisPair:
 
     def delta_at(self, i: int) -> Ultrafunction:
         j, a = self._slot(i)
-        return self._member(j, self.evals[j, a])
+        return _CellLocal(self.space, ((j, self.evals[j, a]),))
 
     def cardinal_at(self, i: int) -> Ultrafunction:
         j, a = self._slot(i)
-        return self._member(j, self.dual[j, :, a])
+        return _CellLocal(self.space, ((j, self.dual[j, :, a]),))
 
     def _slot(self, i: int) -> tuple[int, int]:
         """Cell and in-cell position of ``points[i]``."""
         if not 0 <= i < self.size:
             raise InvalidArgumentError(f"point index {i} outside [0, {self.size})")
         return divmod(int(np.flatnonzero(self.cols.ravel() == i)[0]), self.cols.shape[1])
-
-    def _member(self, j: int, block: np.ndarray) -> Ultrafunction:
-        blocks = np.zeros(self.cols.shape)
-        blocks[j] = block
-        return Ultrafunction(self.space, blocks)
 
     def interpolate(self, values) -> Ultrafunction:
         """Member taking the given values at ``points``: a cardinal-weighted sum."""

@@ -170,12 +170,12 @@ def _cmd_pair(args) -> int:
             "written by 'ultracalc embed'"
         )
     meta = data["distribution"]
-    spec = DistributionSpec(
-        int(meta["k"]),
-        FunctionHandle(
-            parse_expression(meta["fn"]), tuple(float(s) for s in meta["singular"])
-        ),
-    )
+    try:
+        k, fn = ser.integral(meta["k"]), meta["fn"]
+        singular = tuple(ser.real(s) for s in meta["singular"])
+    except (KeyError, TypeError, InvalidArgumentError) as exc:
+        raise InvalidArgumentError(f"malformed distribution data: {exc}") from exc
+    spec = DistributionSpec(k, FunctionHandle(parse_expression(fn), singular))
 
     def observable(sp: Space) -> float:
         t = embed(sp, spec, tol=args.tol)
@@ -195,13 +195,6 @@ def _config_field(config: dict, key: str, convert, default=None):
         raise InvalidArgumentError(f"refine config: bad {key!r} value {value!r}") from exc
 
 
-def _integral(value) -> int:
-    """A JSON number with an integral value; a bool, string or fraction is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ValueError("not an integer")
-    return int(value)
-
-
 def _cmd_refine(args) -> int:
     config = ser.load_json(args.config)
     base_cfg = config.get("base") if isinstance(config, dict) else None
@@ -209,17 +202,18 @@ def _cmd_refine(args) -> int:
         raise InvalidArgumentError("refine config must be a JSON object with a 'base' object")
     base = Space(
         Grid.uniform(
-            _config_field(base_cfg, "beta", float), _config_field(base_cfg, "cells", _integral)
+            _config_field(base_cfg, "beta", ser.real),
+            _config_field(base_cfg, "cells", ser.integral),
         ),
-        _config_field(base_cfg, "degree", _integral),
+        _config_field(base_cfg, "degree", ser.integral),
     )
     ladder = Ladder.from_base(
         base,
-        _config_field(config, "levels", _integral),
+        _config_field(config, "levels", ser.integral),
         config.get("policy", "dyadic-split"),
-        factor=_config_field(config, "factor", float, 2.0),
+        factor=_config_field(config, "factor", ser.real, 2.0),
     )
-    target = _config_field(config, "target", lambda t: None if t is None else float(t))
+    target = _config_field(config, "target", lambda t: None if t is None else ser.real(t))
     rows = ladder.observe(_builtin_observable(args.observe), target)
     _write_text(_format_table(rows), args.out)
     return 0

@@ -14,6 +14,7 @@ one that earlier versions wrote.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -24,15 +25,32 @@ from .grid import Grid
 from .space import Space, Ultrafunction
 
 
+def real(value) -> float:
+    """A JSON number as a float; a bool, string, null or too large a number is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidArgumentError(f"expected a JSON number, got {value!r}")
+
+
+def integral(value) -> int:
+    """A JSON number with an integral value: :func:`real`, refusing fractions too."""
+    if not real(value).is_integer():
+        raise InvalidArgumentError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def grid_to_dict(grid: Grid) -> dict:
     return {"beta": grid.beta, "nodes": grid.nodes.tolist()}
 
 
 def grid_from_dict(data: dict) -> Grid:
     try:
-        beta = float(data["beta"])
-        nodes = [float(x) for x in data["nodes"]]
-    except (KeyError, TypeError) as exc:
+        beta = real(data["beta"])
+        nodes = [real(x) for x in data["nodes"]]
+    except (KeyError, TypeError, InvalidArgumentError) as exc:
         raise InvalidArgumentError(f"malformed grid data: {exc}") from exc
     grid = Grid(nodes)
     if beta != grid.beta:
@@ -80,6 +98,14 @@ def member_from_dict(data: dict, space: Space | None = None) -> Ultrafunction:
         raise InvalidArgumentError(
             "member file was written for a different space (hash mismatch)"
         )
+    try:
+        values = list(itertools.chain.from_iterable(blocks))
+        # one pass over the types keeps large files fast; real() names a refused value
+        if not set(map(type, values)) <= {float, int}:
+            for x in values:
+                real(x)
+    except (TypeError, InvalidArgumentError) as exc:
+        raise InvalidArgumentError(f"malformed member data: {exc}") from exc
     arr = np.asarray(blocks, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("member coefficients must be finite (NaN or inf found)")

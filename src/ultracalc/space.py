@@ -291,7 +291,14 @@ class Space:
 
 
 class Ultrafunction:
-    """Member of a :class:`Space`: one coefficient block per cell."""
+    """Member of a :class:`Space`: one coefficient block per cell.
+
+    ``blocks`` is the read-only ``(ell, p + 1)`` array of those blocks; the
+    constructor copies the array it is given.  Members that are zero outside
+    one or two cells (deltas, basis-pair members, splitted-basis elements)
+    store only those blocks, so building one costs ``O(p)``, and build
+    ``blocks`` on first read.
+    """
 
     __slots__ = ("space", "blocks")
 
@@ -440,6 +447,34 @@ class Ultrafunction:
         return f"Ultrafunction(dim={self.space.dim}, norm={self.norm():.6g})"
 
 
+class _CellLocal(Ultrafunction):
+    """Member that is zero outside a few cells, stored as ``((cell, block), ...)``.
+
+    Nothing of the grid's size is stored at construction.  The first read of
+    :attr:`blocks` finds the inherited slot empty and lands in
+    :meth:`__getattr__`, which builds the dense read-only array (one
+    ``np.zeros``, then one row write per term) and fills the slot; later
+    reads are plain slot reads, as on any other member.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, space: Space, terms):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_terms", terms)
+
+    def __getattr__(self, name):
+        if name != "blocks":
+            raise AttributeError(name)
+        sp = self.space
+        arr = np.zeros((sp.n_cells, sp.block_size))
+        for cell, block in self._terms:
+            arr[cell] = block
+        arr.flags.writeable = False
+        object.__setattr__(self, "blocks", arr)
+        return arr
+
+
 @dataclass(frozen=True)
 class SplittedBasis:
     """Orthonormal basis organized cell by cell.
@@ -457,9 +492,7 @@ class SplittedBasis:
         sp = self.space
         if not (0 <= j < sp.n_cells and 0 <= k < sp.block_size):
             raise InvalidArgumentError("basis index out of range")
-        blocks = np.zeros((sp.n_cells, sp.block_size))
-        blocks[j, k] = 1.0
-        return Ultrafunction(sp, blocks)
+        return _CellLocal(sp, ((j, np.eye(1, sp.block_size, k)[0]),))
 
     def __iter__(self):
         for j in range(self.space.n_cells):

@@ -475,6 +475,24 @@ def test_refine_config_integer_fields_refuse_non_integers(tmp_path, capsys, fiel
     assert f"refine config: bad {field!r} value" in captured.err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [(field, value) for field in ("beta", "factor", "target")
+     for value in (True, False, "2", "0", None, [2.0], 10**400)
+     if (field, value) != ("target", None)],  # a null target means "no target"
+    ids=lambda v: "10**400" if v == 10**400 else None,
+)
+def test_refine_config_real_fields_refuse_non_numbers(tmp_path, capsys, field, value):
+    config = json.loads(json.dumps(_LADDER))
+    (config["base"] if field == "beta" else config)[field] = value
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["refine", "--config", str(path), "--observe", "proj-error:sin(x)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"refine config: bad {field!r} value" in captured.err
+
+
 def test_refine_config_accepts_integral_floats(tmp_path, capsys):
     config = {"base": {"beta": 1.0, "cells": 4.0, "degree": 2.0}, "levels": 3.0, "target": 0.0}
     for name, cfg in (("floats", config), ("ints", _LADDER)):
@@ -712,3 +730,46 @@ def test_indented_files_of_earlier_versions_give_the_same_output(tmp_path, capsy
             outputs.setdefault(argv[0], []).append(capsys.readouterr().out)
     for name, (a, b) in outputs.items():
         assert a == b and a, name
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"beta": "1.0", "nodes": [-1.0, 0.0, 1.0]},
+     {"beta": 1.0, "nodes": ["-1.0", 0.0, 1.0]},
+     {"beta": 1.0, "nodes": [-1.0, True, 1.0]},
+     {"beta": True, "nodes": [-1.0, 0.0, True]},
+     {"beta": 1.0, "nodes": [-1.0, None, 1.0]},
+     {"beta": "1.0", "nodes": ["-1.0", "0.0", True]}],
+    ids=["beta-string", "node-string", "node-true", "beta-and-end-true", "node-null", "all"],
+)
+def test_space_file_with_non_number_nodes_is_refused(tmp_path, capsys, grid):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"grid": grid, "degree": 1}))
+    assert cli.main(["verify", "--space", str(path), "--suite", "d2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed grid data: expected a JSON number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("k", 1.5, "expected an integer, got 1.5"), ("k", "1", "expected a JSON number"),
+     ("k", True, "expected a JSON number"), ("singular", ["0.5"], "expected a JSON number"),
+     ("singular", [None], "expected a JSON number"), ("singular", 0.5, "not iterable")],
+    ids=["k-fraction", "k-string", "k-true", "singular-string", "singular-null",
+         "singular-number"],
+)
+def test_pair_refinement_refuses_non_number_metadata(tmp_path, capsys, key, value, message):
+    space, dist = str(tmp_path / "s.json"), tmp_path / "t.json"
+    assert cli.main(["space", "--cells", "4", "--degree", "2", "--out", space]) == 0
+    assert cli.main(["embed", "--space", space, "--k", "1", "--fn", "x*abs(x)/4",
+                     "--out", str(dist)]) == 0
+    data = json.loads(dist.read_text())
+    data["distribution"][key] = value
+    dist.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["pair", "--space", space, "--dist", str(dist), "--test", "(1-x^2)^4",
+                     "--refine", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed distribution data" in captured.err and message in captured.err

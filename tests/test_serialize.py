@@ -71,6 +71,24 @@ def test_malformed_member_rejected():
         member_from_dict({"blocks": [[1.0]]})
 
 
+@pytest.mark.parametrize("bad", ["1.0", True, False, None, [1.0]])
+def test_member_coefficients_must_be_json_numbers(bad):
+    sp = Space(Grid.uniform(1.0, 4), 1)
+    data = member_to_dict(sp.constant(1.0))
+    data["blocks"][2][0] = bad
+    with pytest.raises(InvalidArgumentError, match="malformed member data: expected a JSON number"):
+        member_from_dict(json.loads(json.dumps(data)), sp)
+
+
+@pytest.mark.parametrize("blocks", [3.0, [1.0, 2.0], None])
+def test_member_blocks_must_be_rows(blocks):
+    sp = Space(Grid.uniform(1.0, 4), 1)
+    data = member_to_dict(sp.constant(1.0))
+    data["blocks"] = blocks
+    with pytest.raises(InvalidArgumentError, match="malformed member data"):
+        member_from_dict(data, sp)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_member_coefficients_rejected(bad):
     sp = Space(Grid.uniform(1.0, 4), 1)
