@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import IndependenceError, InvalidArgumentError
-from .grid import PointKind
+from .grid import SNAP_REL, PointKind
 from .space import Side, Space, Ultrafunction, _CellLocal
 
 
@@ -79,15 +80,22 @@ def _node_delta(space: Space, weight: float, terms) -> Ultrafunction:
 def default_interpolation_points(space: Space) -> np.ndarray:
     """Per-cell Gauss abscissae: ``p + 1`` interior points in every cell.
 
-    Guaranteed unisolvent for the cell polynomials and well conditioned.
+    Guaranteed unisolvent for the cell polynomials and well conditioned.  In
+    a cell only a few snap windows wide, where a point would fall inside the
+    window of an end node, the abscissae of that cell are mapped instead into
+    the part of the cell outside both end windows.
     """
-    from numpy.polynomial.legendre import leggauss
-
     t, _ = leggauss(space.block_size)
     nodes = space.grid.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    widths = space.grid.widths()
-    return (mids[:, None] + 0.5 * widths[:, None] * t).ravel()
+    a, b = nodes[:-1, None], nodes[1:, None]
+    pts = 0.5 * (a + b) + 0.5 * (b - a) * t
+    wa, wb = SNAP_REL * np.maximum(1.0, np.abs(a)), SNAP_REL * np.maximum(1.0, np.abs(b))
+    near = ((pts - a <= wa) | (b - pts <= wb)).any(axis=1)
+    if near.any():
+        lo = np.nextafter(a[near] + wa[near], np.inf)
+        hi = np.nextafter(b[near] - wb[near], -np.inf)
+        pts[near] = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    return pts.ravel()
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ randomized report is a pure function of its seed, so repeated runs are byte
 identical.
 
 Exit codes: 0 on success (including an all-pass verify), 1 on domain errors
-or any identity defect above tolerance, 2 on usage errors.
+or any identity defect above tolerance, 2 on usage errors.  No command
+writes NaN or an infinity: a result that overflows is a domain error, and
+numpy's overflow warnings stay off stderr.
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ from .space import Space
 from .verify import SUITE_NAMES, format_report, run_suites
 
 
+def _finite(values):
+    """``values`` unchanged; a NaN or infinity among them is refused before anything is written."""
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(ser.NOT_FINITE)
+    return values
+
+
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    return repr(float(_finite(x)))
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -265,7 +274,7 @@ def _cmd_export_op(args) -> int:
         }
         _write_text(ser.dump_json(data), args.out)
         return 0
-    lines = [",".join(map(repr, row)) for row in op.matrix.tolist()]
+    lines = [",".join(map(repr, row)) for row in _finite(op.matrix).tolist()]
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -278,7 +287,8 @@ def _cmd_sample(args) -> int:
     beta = u.space.grid.beta
     xs = np.linspace(-beta, beta, args.points)
     lines = ["x,value"]
-    lines.extend(f"{x!r},{v!r}" for x, v in zip(xs.tolist(), u.sample(xs).tolist()))
+    values = _finite(u.sample(xs))
+    lines.extend(f"{x!r},{v!r}" for x, v in zip(xs.tolist(), values.tolist()))
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -431,7 +441,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # a result that overflows is refused where it is written, not warned about
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return args.handler(args)
     except UltracalcError as exc:
         sys.stderr.write(f"ultracalc: error: {exc}\n")
         return 1

@@ -301,7 +301,8 @@ def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
 
 def _integrate_cell(integrand, handle, space, j, a, b, tol) -> np.ndarray:
     """Integral over cell ``j = [a, b]``, which holds declared singular points."""
-    sing = sorted(s for s in handle.singular if a <= s <= b)
+    # a point listed twice (or as both -0.0 and 0.0) is one cut, not a zero-width piece
+    sing = sorted({s for s in handle.singular if a <= s <= b})
     # split at singular points; each resulting piece has the singularity
     # at one of its ends (pieces between two singular points are halved)
     cuts = [a] + [s for s in sing if a < s < b] + [b]

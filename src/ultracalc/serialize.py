@@ -122,8 +122,15 @@ def basis_pair_to_dict(pair: BasisPair) -> dict:
     }
 
 
+NOT_FINITE = "cannot write a result that is not finite (NaN or inf); its inputs overflow"
+
+
 def dump_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True) + "\n"
+    """Compact JSON text; a NaN or infinity, which JSON has no number for, is refused."""
+    try:
+        return json.dumps(data, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidArgumentError(NOT_FINITE) from exc
 
 
 def load_json(path: str) -> dict:

@@ -2,17 +2,19 @@
 
 Construction
 ------------
-On the reference interval ``[-1, 1]`` the monomials ``1, t, ..., t**p`` are
-orthonormalized by Gram-Schmidt (with one re-orthogonalization pass) against
-the exact Gauss inner product.  That reference basis, its Gauss rule, its
-derivative coupling and its edge values depend on the degree alone, so they
-are built once per degree and shared, read-only, by every space of that
-degree; a space adds only its grid's widths, midpoints and scales.  Each
-cell carries the affinely mapped copy of that basis, rescaled by
-``sqrt(2 / h)`` so it stays orthonormal in L2 over the cell.  The whole
-space is the orthogonal direct sum of the cell spaces: basis elements of
-different cells have disjoint supports, so their inner product is exactly
-zero, never merely small.
+On the reference interval ``[-1, 1]`` the basis is the orthonormal Legendre
+basis ``sqrt(k + 1/2) * P_k(t)``, ``k = 0 .. p``, the modal basis of
+discontinuous-Galerkin methods.  One kernel, ``_legendre``, evaluates it by
+the three-term recurrence, on a Python float or on an array alike.  Its
+derivative coupling and its edge values have closed forms.  The basis
+values at the Gauss rule, the coupling and the edge values depend on the
+degree alone, so they are built once per degree and shared, read-only, by
+every space of that degree; a space adds only its grid's widths, midpoints
+and scales.  Each cell carries the affinely mapped copy of that basis,
+rescaled by ``sqrt(2 / h)`` so it stays orthonormal in L2 over the cell.
+The whole space is the orthogonal direct sum of the cell spaces: basis
+elements of different cells have disjoint supports, so their inner product
+is exactly zero, never merely small.
 
 Pointwise conventions
 ---------------------
@@ -24,10 +26,10 @@ one-sided limit at ``-beta`` and ``beta``.  :meth:`Space.node_terms` states
 this rule once for node values, side limits, jumps and node deltas;
 :meth:`Space.edges`, ``D`` and :meth:`Ultrafunction.sample` read the edge
 rows of all cells at once.  The one-point paths (:meth:`Space.basis_values`,
-``u(x)``, node values) compute in Python floats in the order of the array
-paths (``polyval``'s Horner steps, ``DOUBLE_dot`` products), so their values
-match :meth:`Space.cell_basis_values` and :meth:`Ultrafunction.sample` bit
-for bit.
+``u(x)``, node values) run the recurrence on Python floats and the
+``DOUBLE_dot`` products of the array paths, so their values match
+:meth:`Space.cell_basis_values` and :meth:`Ultrafunction.sample` bit for
+bit.
 
 All inner products and integrals use the per-cell Gauss rule with ``p + 2``
 points, exact for polynomial integrands of degree up to ``2p + 3``.
@@ -50,46 +52,57 @@ from .grid import Grid, PointKind
 Side = Literal["plus", "minus"]
 
 
+_SQRT_HALF = math.sqrt(0.5)  # the constant basis polynomial sqrt(1/2) * P_0
+
+
+@functools.cache
+def _recurrence(n: int) -> tuple[tuple[float, float], ...]:
+    """``(sqrt(k + 1/2), (k - 1) / k)`` for ``0 < k < n``: each norm and recurrence factor."""
+    return tuple((math.sqrt(k + 0.5), (k - 1.0) / k) for k in range(1, n))
+
+
+def _legendre(t, n: int) -> list:
+    """The orthonormal Legendre basis ``sqrt(k + 1/2) * P_k(t)`` for ``k < n``, as a list.
+
+    Bonnet's recurrence ``k P_k = (2k - 1) t P_{k-1} - (k - 1) P_{k-2}``,
+    written ``P_k = u + (k - 1) / k * (u - P_{k-2})`` with ``u = t P_{k-1}``:
+    near ``t = +-1`` the difference is small and nearly exact, so the error
+    grows about as ``k`` ulps there, not ``k**2``.  It uses only ``+ - *``
+    on ``t``, so a Python float and a float array of any shape run the same
+    operations and give the same bits.  At ``t = +-1`` every step is exact,
+    so the values are ``(+-1)**k * sqrt(k + 1/2)``.
+    """
+    prev, cur = 0.0, t * 0.0 + 1.0
+    vals = [_SQRT_HALF * cur]
+    for norm, c in _recurrence(n):
+        u = t * cur
+        prev, cur = cur, u + c * (u - prev)
+        vals.append(norm * cur)
+    return vals
+
+
 @functools.cache
 def _reference(degree: int):
     """Everything about the degree-``degree`` basis on ``[-1, 1]`` that no grid changes.
 
-    Returns ``(coeffs, horner, t, w, quad_vals, deriv_ref, left, right)``:
-    the orthonormal basis as monomial coefficients (rows -> powers), the same
-    rows from the top power down as tuples (for Horner's rule on Python
-    floats), the ``p + 2`` Gauss points and weights, the basis values at
-    them ``(nq, n)``, the derivative coupling ``ref[m, k] = integral of
-    e_m * e_k'``, and the unscaled basis values at ``-1`` and ``1``.  The
-    cache hands the same arrays to every space of the degree, so they are
-    read-only.
+    Returns ``(t, w, quad_vals, deriv_ref, left, right)``: the ``p + 2``
+    Gauss points and weights, the basis values at them ``(nq, n)``, the
+    derivative coupling ``ref[m, k] = integral of e_m * e_k'``, which is
+    ``sqrt((2m + 1)(2k + 1))`` for ``k > m`` with ``k + m`` odd and 0
+    otherwise, and the basis values at ``-1`` and ``1``,
+    ``(+-1)**k * sqrt(k + 1/2)``.  The cache hands the same arrays to every
+    space of the degree, so they are read-only.
     """
     n = degree + 1
     t, w = leggauss(degree + 2)
-    powers = t[:, None] ** np.arange(n)[None, :]  # (nq, n)
-
-    def dot(a, b):
-        return float(np.sum(w * (powers @ a) * (powers @ b)))
-
-    coeffs = np.zeros((n, n))
-    for k in range(n):
-        c = np.zeros(n)
-        c[k] = 1.0
-        for _ in range(2):  # second pass re-orthogonalizes
-            for m in range(k):
-                c = c - dot(c, coeffs[m]) * coeffs[m]
-        coeffs[k] = c / math.sqrt(dot(c, c))
-    vals = npoly.polyval(t, coeffs.T)  # (n, nq): basis k at quad point i
-    dcoeffs = np.zeros_like(coeffs)
-    if degree > 0:
-        dcoeffs[:, :-1] = coeffs[:, 1:] * np.arange(1, degree + 1)
-    dvals = npoly.polyval(t, dcoeffs.T)
-    quad_vals = np.ascontiguousarray(vals.T)
-    deriv_ref = (vals * w) @ dvals.T
-    left, right = npoly.polyval(-1.0, coeffs.T), npoly.polyval(1.0, coeffs.T)
-    for a in (coeffs, t, w, quad_vals, deriv_ref, left, right):
+    quad_vals = np.stack(_legendre(t, n), axis=-1)
+    left, right = np.stack(_legendre(np.array([-1.0, 1.0]), n), axis=-1)
+    k = np.arange(n)
+    m = k[:, None]
+    deriv_ref = np.where((k > m) & ((k + m) % 2 == 1), np.sqrt((2.0 * m + 1.0) * (2.0 * k + 1.0)), 0.0)
+    for a in (t, w, quad_vals, deriv_ref, left, right):
         a.flags.writeable = False
-    horner = tuple(tuple(row) for row in coeffs[:, ::-1].tolist())
-    return coeffs, horner, t, w, quad_vals, deriv_ref, left, right
+    return t, w, quad_vals, deriv_ref, left, right
 
 
 class Space:
@@ -98,8 +111,6 @@ class Space:
     __slots__ = (
         "grid",
         "degree",
-        "_coeffs",
-        "_horner",
         "_quad_t",
         "_quad_w",
         "_quad_vals",
@@ -119,11 +130,9 @@ class Space:
         if not valid:
             raise InvalidArgumentError(f"degree must be a nonnegative integer, got {degree!r}")
         degree = int(degree)
-        coeffs, horner, t, w, vals, deriv_ref, left, right = _reference(degree)
+        t, w, vals, deriv_ref, left, right = _reference(degree)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "_horner", horner)
         object.__setattr__(self, "_quad_t", t)
         object.__setattr__(self, "_quad_w", w)
         object.__setattr__(self, "_quad_vals", vals)
@@ -178,29 +187,24 @@ class Space:
     def basis_values(self, j: int, x: float) -> np.ndarray:
         """Values of the cell-``j`` basis polynomials at ``x`` (closure of the cell).
 
-        Horner's rule on Python floats, in ``polyval``'s order, so each value
-        equals :meth:`cell_basis_values`' bit for bit.
+        The Legendre recurrence on Python floats: the operations of
+        :meth:`cell_basis_values` on one point, so the values are the same
+        bit for bit.
         """
         t = self.to_reference(j, float(x))
-        zero = 0.0 * t
-        vals = []
-        for top, *rest in self._horner:
-            v = top + zero
-            for c in rest:
-                v = c + v * t
-            vals.append(v)
-        return self._scales.item(j) * np.array(vals)
+        return self._scales.item(j) * np.array(_legendre(t, self.block_size))
 
     def cell_basis_values(self, cells, x) -> np.ndarray:
         """Basis values of cell ``cells[i]`` at every point of row ``x[i]``.
 
         ``x`` has shape ``(m, P)`` for ``m`` cells and the result, C-contiguous,
-        ``(m, P, n)``; each entry equals what :meth:`basis_values` gives for
-        that cell and point.
+        ``(m, P, n)``; the Legendre recurrence runs once on the whole array,
+        so each entry equals what :meth:`basis_values` gives for that cell
+        and point.
         """
         cells = np.asarray(cells)
         t = (2.0 * x - 2.0 * self._mids[cells][:, None]) / self._widths[cells][:, None]
-        vals = np.ascontiguousarray(np.moveaxis(npoly.polyval(t, self._coeffs.T), 0, -1))
+        vals = np.stack(_legendre(t, self.block_size), axis=-1)
         return self._scales[cells][:, None, None] * vals
 
     def edges(self, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +274,8 @@ class Space:
         return Ultrafunction(self, blocks)
 
     def constant(self, value: float) -> "Ultrafunction":
-        return self.from_polynomial([float(value)])
+        """Member equal to ``value`` on the whole support: only the constant coefficients are nonzero."""
+        return self.grid_function(np.full(self.n_cells, float(value)))
 
     def grid_function(self, cell_values) -> "Ultrafunction":
         """Member that is constant on every cell, with the given values."""
@@ -278,8 +283,8 @@ class Space:
         if v.shape != (self.n_cells,):
             raise InvalidArgumentError("need one value per cell")
         blocks = np.zeros((self.n_cells, self.block_size))
-        # e_{j,0} is the positive constant scale * coeffs[0, 0]
-        blocks[:, 0] = v / (self._scales * self._coeffs[0, 0])
+        # e_{j,0} is the positive constant scale * sqrt(1/2)
+        blocks[:, 0] = v / (self._scales * _SQRT_HALF)
         return Ultrafunction(self, blocks)
 
     def indicator(self, a: float, b: float) -> "Ultrafunction":

@@ -10,6 +10,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from ultracalc import (
     DistributionSpec,
@@ -33,6 +34,7 @@ from ultracalc import (
     project,
     refine,
 )
+from ultracalc.verify import run_suites
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -361,3 +363,22 @@ def test_verify_reports_are_deterministic(tmp_path):
     )
     assert identical
     assert passed
+
+
+_DYADIC = 2.0 ** -np.arange(7)
+HIGH_DEGREE_GRIDS = {
+    "uniform": Grid.uniform(1.0, 12),
+    "tagged": Grid.with_tags(1.0, [-0.61, -0.3, 0.05, 0.2, 0.77], 0.15),
+    # cells halving toward 0: widths 1/2 .. 1/64 on both sides
+    "graded": Grid(np.concatenate([-_DYADIC, [0.0], _DYADIC[::-1]])),
+}
+
+
+@pytest.mark.parametrize("name", HIGH_DEGREE_GRIDS)
+@pytest.mark.parametrize("degree", range(15))
+def test_every_verify_check_passes_up_to_degree_14(name, degree):
+    grid = HIGH_DEGREE_GRIDS[name]
+    results = run_suites(Space(grid, degree), "all", 5, 20)
+    failed = [f"{r.suite} {r.check} {r.max_defect!r} > {r.tolerance!r}" for r in results if not r.passed]
+    _report("verify at high degree", not failed, f"{name} ell={grid.n_cells} p={degree}: {failed}")
+    assert not failed

@@ -364,3 +364,25 @@ def test_duality_on_non_uniform_grid():
     sp = Space(Grid.with_tags(1.0, [-0.3, 0.2, 0.55], 0.4), 1)
     pair = basis_pair(sp)
     assert np.max(np.abs(pair.duality_matrix() - np.eye(sp.block_size))) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [2.5, 10.0, 100.0])
+@pytest.mark.parametrize("degree", range(7))
+def test_default_points_of_a_cell_a_few_snap_windows_wide_stay_interior(k, degree):
+    # the cell [0, k * 2**-40] is k snap windows wide; the grid accepts it
+    space = Space(Grid([-1.0, 0.0, k * 2.0**-40, 1.0]), degree)
+    pair = basis_pair(space)
+    assert np.max(np.abs(pair.duality_matrix() - np.eye(degree + 1))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.uniform(1.0, 16), Grid.with_tags(3.0, [-2.9, 0.01, 1e-9, 2.5], 0.4), Grid([-1e6, -1.0, 1e-3, 7.0, 1e6])],
+)
+@pytest.mark.parametrize("degree", [0, 2, 6, 12])
+def test_default_points_are_the_mapped_gauss_abscissae_on_ordinary_grids(grid, degree):
+    t, _ = np.polynomial.legendre.leggauss(degree + 1)
+    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    want = (mids[:, None] + 0.5 * grid.widths()[:, None] * t).ravel()
+    got = default_interpolation_points(Space(grid, degree))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ultracalc import cli
+from ultracalc import serialize as ser
+from ultracalc.errors import InvalidArgumentError
 
 
 def run_cli(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -773,3 +775,48 @@ def test_pair_refinement_refuses_non_number_metadata(tmp_path, capsys, key, valu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed distribution data" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["derive", "--in", "{big}", "--kind", "D"],
+        ["embed", "--k", "400", "--fn", "x"],
+        ["integrate", "--in", "{big}", "--from", "-1", "--to", "1"],
+        ["sample", "{big}", "--points", "5"],
+    ],
+)
+def test_a_result_that_overflows_is_a_domain_error_and_writes_nothing(space_file, tmp_path, command):
+    member = tmp_path / "u.json"
+    cp = run_cli("project", "--space", str(space_file), "--fn", "1", "--out", str(member))
+    assert cp.returncode == 0, cp.stderr
+    data = json.loads(member.read_text())
+    data["blocks"] = [[1e308] * len(row) for row in data["blocks"]]
+    member.write_text(json.dumps(data))
+    args = [a.replace("{big}", str(member)) for a in command]
+    if args[0] != "sample":
+        args += ["--space", str(space_file)]
+    out = tmp_path / "out.txt"
+    for extra in ([], ["--out", str(out)]):
+        cp = run_cli(*args, *extra)
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        # one error line and no numpy warning
+        assert cp.stderr.splitlines() == ["ultracalc: error: " + ser.NOT_FINITE]
+    assert not out.exists()
+
+
+def test_dump_json_refuses_non_finite_numbers():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            ser.dump_json({"blocks": [[1.0, value]]})
+
+
+def test_a_repeated_singular_point_gives_the_single_points_output(space_file):
+    once, twice = (
+        run_cli("project", "--space", str(space_file), "--fn", "abs(x-0.25)^-0.5", "--singular", points, "--tol", "1e-6")
+        for points in ("0.25", "0.25,0.25")
+    )
+    assert once.returncode == 0, once.stderr
+    assert twice.returncode == 0, twice.stderr
+    assert twice.stdout == once.stdout

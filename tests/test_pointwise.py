@@ -80,6 +80,21 @@ def test_sample_equals_pointwise_call(data, degree, seed):
     np.testing.assert_array_equal(bits(u.sample(xs)), bits(expected))
 
 
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), degree=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+def test_one_recurrence_gives_scalar_and_batched_values_up_to_degree_20(data, degree, seed):
+    space = Space(data.draw(grids()), degree)
+    xs = np.array(data.draw(probes(space.grid)))
+    rng = np.random.default_rng(seed)
+    u = Ultrafunction(space, rng.standard_normal((space.n_cells, space.block_size)))
+    np.testing.assert_array_equal(bits(u.sample(xs)), bits([u(float(x)) for x in xs]))
+    kind, cells = space.grid.classify(xs)
+    inside = kind == PointKind.INTERIOR
+    batched = space.cell_basis_values(cells[inside], xs[inside, None])[:, 0]
+    scalar = [space.basis_values(j, x) for j, x in zip(cells[inside].tolist(), xs[inside].tolist())]
+    np.testing.assert_array_equal(bits(batched), bits(np.reshape(scalar, batched.shape)))
+
+
 def delta_probes(grid: Grid):
     """Nodes, points a few ulps off a node or off its snap window, and +-0.0."""
     nodes = grid.nodes

@@ -832,3 +832,18 @@ def test_non_finite_value_in_a_singular_cell_is_refused():
 def test_errors_raised_by_the_callable_propagate(fn, error):
     with pytest.raises(error):
         project(Space(Grid.uniform(1.0, 4), 1), fn)
+
+
+@pytest.mark.parametrize(
+    ("ell", "once", "twice"),
+    [(4, (0.25,), (0.25, 0.25)), (3, (0.0,), (0.0, -0.0)), (3, (0.1, 0.25), (0.25, 0.1, 0.25, 0.1))],
+)
+def test_a_repeated_singular_point_is_one_cut(ell, once, twice):
+    sp = Space(Grid.uniform(1.0, ell), 2)
+
+    def f(x):
+        return sum(abs(x - s) ** -0.5 for s in set(once))
+
+    u = project(sp, FunctionHandle(f, once), tol=1e-6)
+    v = project(sp, FunctionHandle(f, twice), tol=1e-6)
+    np.testing.assert_array_equal(u.blocks.view(np.int64), v.blocks.view(np.int64))

@@ -1,11 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
 
 from strategies import grids
 from ultracalc import Grid, InvalidArgumentError, Space, Ultrafunction
@@ -203,72 +202,84 @@ def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def reference_cell(grid: Grid, degree: int) -> dict:
-    """The per-space construction that every ``Space`` ran before the
-    reference cell was shared, copied here as the reference."""
-    n = degree + 1
-    t, w = leggauss(degree + 2)
-    powers = t[:, None] ** np.arange(n)[None, :]
+def exact_legendre(t: float, n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """``P_k(t)`` and ``P_k'(t)`` for ``k < n``, in exact rational arithmetic.
 
-    def dot(a, b):
-        return float(np.sum(w * (powers @ a) * (powers @ b)))
-
-    coeffs = np.zeros((n, n))
-    for k in range(n):
-        c = np.zeros(n)
-        c[k] = 1.0
-        for _ in range(2):
-            for m in range(k):
-                c = c - dot(c, coeffs[m]) * coeffs[m]
-        coeffs[k] = c / math.sqrt(dot(c, c))
-    vals = npoly.polyval(t, coeffs.T)
-    dcoeffs = np.zeros_like(coeffs)
-    if degree > 0:
-        dcoeffs[:, :-1] = coeffs[:, 1:] * np.arange(1, degree + 1)
-    dvals = npoly.polyval(t, dcoeffs.T)
-    scales = np.sqrt(2.0 / grid.widths())
-    return {
-        "coeffs": coeffs,
-        "horner": coeffs[:, ::-1].tolist(),
-        "quad_vals": np.ascontiguousarray(vals.T),
-        "deriv_ref": (vals * w) @ dvals.T,
-        "left_rows": scales[:, None] * npoly.polyval(-1.0, coeffs.T),
-        "right_rows": scales[:, None] * npoly.polyval(1.0, coeffs.T),
-    }
+    Bonnet's recurrence for the values and ``P_k' = P_{k-2}' + (2k - 1)
+    P_{k-1}`` for the derivatives, on the float ``t`` read as a fraction.
+    """
+    t = Fraction(t)
+    vals, ders = [Fraction(1), t][:n], [Fraction(0), Fraction(1)][:n]
+    for k in range(2, n):
+        vals.append(((2 * k - 1) * t * vals[k - 1] - (k - 1) * vals[k - 2]) / k)
+        ders.append(ders[k - 2] + (2 * k - 1) * vals[k - 1])
+    return vals, ders
 
 
-@pytest.mark.parametrize("degree", range(13))
+def norms(n: int) -> np.ndarray:
+    """``sqrt(k + 1/2)`` for ``k < n``: the orthonormal basis is ``norms * P_k``."""
+    return np.sqrt(np.arange(n) + 0.5)
+
+
+def assert_is_the_exact_basis(got, t, scale) -> None:
+    """``got[..., k]`` is ``scale * sqrt(k + 1/2) * P_k(t)`` within ``(2k + 10) eps`` times
+    ``scale * sqrt(k + 1/2)``, the bound of its magnitude.
+
+    The recurrence's rounding grows about as ``k`` ulps at points next to
+    ``+-1``, and stays below ``10 eps`` in the interior and at Gauss points.
+    """
+    got = np.asarray(got)
+    n = got.shape[-1]
+    want = np.array([[float(v) for v in exact_legendre(ti, n)[0]] for ti in np.ravel(t)])
+    bound = (2.0 * np.arange(n) + 10.0) * np.finfo(float).eps * norms(n) * np.ravel(scale)[:, None]
+    err = np.abs(got.reshape(-1, n) - np.ravel(scale)[:, None] * norms(n) * want)
+    assert np.all(err <= bound), float(np.max(err / bound))
+
+
+@pytest.mark.parametrize("degree", range(21))
 def test_shared_reference_cell_matches_the_per_space_construction(degree):
+    """Every basis table a space reads equals the exact orthonormal Legendre basis."""
     grid = Grid.with_tags(1.5, [-0.7, 0.01, 0.9], 0.3)
-    ref = reference_cell(grid, degree)
     sp = Space(grid, degree)
-    for name in ("quad_vals", "deriv_ref"):
-        np.testing.assert_array_equal(bits(getattr(sp, "_" + name)), bits(ref[name]))
-    for name in ("left_rows", "right_rows"):
-        np.testing.assert_array_equal(bits(getattr(sp, name)), bits(ref[name]))
+    n = sp.block_size
+    assert_is_the_exact_basis(sp._quad_vals, sp._quad_t, np.ones(sp._quad_t.size))
+    # at +-1 every recurrence step is exact, so the edge rows are exact too
+    for name, end in (("left_rows", -1.0), ("right_rows", 1.0)):
+        exact = np.array([float(v) for v in exact_legendre(end, n)[0]]) * norms(n)
+        np.testing.assert_array_equal(bits(getattr(sp, name)), bits(sp._scales[:, None] * exact))
     rng = np.random.default_rng(degree)
     cells = np.arange(sp.n_cells)
     a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
-    x = a + (b - a) * rng.uniform(0.0, 1.0, size=(sp.n_cells, 5))
-    t = (2.0 * x - 2.0 * sp._mids[:, None]) / sp._widths[:, None]
-    want = sp._scales[:, None, None] * np.moveaxis(npoly.polyval(t, ref["coeffs"].T), 0, -1)
+    # two random points and two next to the ends of every cell
+    u = np.concatenate([rng.uniform(0.0, 1.0, size=(sp.n_cells, 2)), np.tile([1e-9, 1.0 - 1e-9], (sp.n_cells, 1))], 1)
+    x = a + (b - a) * u
     got = sp.cell_basis_values(cells, x)
-    np.testing.assert_array_equal(bits(got), bits(want))
+    t = np.array([[sp.to_reference(j, xi) for xi in x[j].tolist()] for j in cells])
+    assert_is_the_exact_basis(got, t, np.repeat(sp._scales, x.shape[1]))
     for j in cells:
         for i, xi in enumerate(x[j].tolist()):
-            ti = sp.to_reference(j, xi)
-            values = []
-            for top, *rest in ref["horner"]:
-                v = top + 0.0 * ti
-                for c in rest:
-                    v = c + v * ti
-                values.append(v)
-            want_one = sp._scales.item(j) * np.array(values)
-            np.testing.assert_array_equal(bits(sp.basis_values(j, xi)), bits(want_one))
-            np.testing.assert_array_equal(bits(got[j, i]), bits(want_one))
+            np.testing.assert_array_equal(bits(sp.basis_values(j, xi)), bits(got[j, i]))
 
 
-SHARED = ("_coeffs", "_horner", "_quad_t", "_quad_w", "_quad_vals", "_deriv_ref")
+@pytest.mark.parametrize("degree", range(21))
+def test_derivative_coupling_is_its_closed_form(degree):
+    """``_deriv_ref[m, k]`` is ``sqrt((2m + 1)(2k + 1))`` for ``k > m``, ``k + m`` odd, else 0,
+    and the Gauss-rule integral of ``e_m e_k'`` to rounding."""
+    sp = Space(Grid.uniform(1.0, 2), degree)
+    n = sp.block_size
+    closed = np.zeros((n, n))
+    for m in range(n):
+        for k in range(m + 1, n, 2):
+            closed[m, k] = math.sqrt((2 * m + 1) * (2 * k + 1))
+    np.testing.assert_array_equal(bits(sp._deriv_ref), bits(closed))
+    exact = [exact_legendre(ti, n) for ti in sp._quad_t.tolist()]
+    vals = np.array([[float(v) for v in e[0]] for e in exact]) * norms(n)
+    ders = np.array([[float(d) for d in e[1]] for e in exact]) * norms(n)
+    integral = (vals * sp._quad_w[:, None]).T @ ders
+    assert np.max(np.abs(integral - sp._deriv_ref)) <= 50.0 * np.finfo(float).eps * np.max(closed, initial=1.0) * n
+
+
+SHARED = ("_quad_t", "_quad_w", "_quad_vals", "_deriv_ref")
 
 
 @pytest.mark.parametrize("degree", [0, 3])
@@ -280,10 +291,6 @@ def test_spaces_of_one_degree_share_read_only_reference_arrays(degree):
     assert a._quad_vals is not Space(a.grid, degree + 1)._quad_vals
     for name in (*SHARED, "left_rows", "right_rows"):
         value = getattr(a, name)
-        if name == "_horner":
-            with pytest.raises(TypeError):
-                value[0] = ()
-            continue
         with pytest.raises(ValueError):
             value[(0,) * value.ndim] = 1.0
 
