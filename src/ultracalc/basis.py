@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import IndependenceError, InvalidArgumentError
-from .grid import SNAP_REL, PointKind
+from .grid import SNAP_REL, PointKind, is_index
 from .space import Side, Space, Ultrafunction, _CellLocal
 
 
@@ -149,9 +150,17 @@ class BasisPair:
 
     def _slot(self, i: int) -> tuple[int, int]:
         """Cell and in-cell position of ``points[i]``."""
-        if not 0 <= i < self.size:
+        if not (is_index(i) and 0 <= i < self.size):
             raise InvalidArgumentError(f"point index {i} outside [0, {self.size})")
-        return divmod(int(np.flatnonzero(self.cols.ravel() == i)[0]), self.cols.shape[1])
+        return divmod(self._where.item(i), self.cols.shape[1])
+
+    @cached_property
+    def _where(self) -> np.ndarray:
+        """Inverse of ``cols``, read-only: ``cols.flat[_where[i]] == i``."""
+        where = np.empty(self.size, dtype=np.intp)
+        where[self.cols.ravel()] = np.arange(self.size)
+        where.flags.writeable = False
+        return where
 
     def interpolate(self, values) -> Ultrafunction:
         """Member taking the given values at ``points``: a cardinal-weighted sum."""

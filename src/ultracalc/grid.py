@@ -5,7 +5,8 @@ spaces are direct sums of per-cell polynomial spaces, and all pointwise
 conventions (one-sided limits, node averages) are phrased in terms of the
 classification produced by :meth:`Grid.locate` (one point) and
 :meth:`Grid.classify` (an array of points, with the same answers).  The
-one-point path reads the nodes as Python floats and makes the array path's
+one-point path bisects a Python list copy of the nodes, built on the first
+one-point query and kept (32 B per node), and makes the array path's
 comparisons, so the two agree bit for bit without numpy-scalar arithmetic.
 
 Node identity is decided by exact comparison after snapping: an input within
@@ -23,6 +24,7 @@ swallows it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -45,6 +47,15 @@ def _support(beta) -> float:
     if not math.isfinite(2.0 * beta):
         raise InvalidArgumentError(_OVERFLOW)
     return beta
+
+
+def is_index(i) -> bool:
+    """Whether ``i`` can be an index: a Python or numpy integer, and not a bool.
+
+    ``True`` is no index, as it is no degree for :class:`~ultracalc.space.Space`;
+    floats are refused even when integral.  Callers add the range check.
+    """
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
 class PointKind(IntEnum):
@@ -88,7 +99,8 @@ class Grid:
     Grids are immutable after construction.
     """
 
-    __slots__ = ("nodes",)
+    # _node_list: nodes.tolist(), built by the first one-point query
+    __slots__ = ("nodes", "_node_list")
 
     def __init__(self, nodes):
         arr = np.array(nodes, dtype=float)
@@ -106,6 +118,14 @@ class Grid:
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Grid is immutable")
+
+    def __getattr__(self, name):
+        """Fill the ``_node_list`` slot with ``nodes.tolist()`` on its first read."""
+        if name != "_node_list":
+            raise AttributeError(name)
+        values = self.nodes.tolist()
+        object.__setattr__(self, "_node_list", values)
+        return values
 
     # ------------------------------------------------------------------
     # construction
@@ -176,7 +196,7 @@ class Grid:
         return self.nodes.size - 1
 
     def cell_bounds(self, j: int) -> tuple[float, float]:
-        if not 0 <= j < self.n_cells:
+        if not (is_index(j) and 0 <= j < self.n_cells):
             raise InvalidArgumentError(f"cell index {j} out of range")
         return float(self.nodes[j]), float(self.nodes[j + 1])
 
@@ -186,7 +206,7 @@ class Grid:
     def snap(self, x: float) -> float:
         """Return the node value identified with ``x``, or ``x`` itself."""
         kind, j = self._find(x)
-        return self.nodes.item(j) if kind is PointKind.NODE else float(x)
+        return self._node_list[j] if kind is PointKind.NODE else float(x)
 
     def locate(self, x: float) -> PointClass:
         """Classify ``x`` as interior to a cell, a node, or outside."""
@@ -198,17 +218,20 @@ class Grid:
         The comparisons are those of :meth:`classify`, so the answers agree
         bit for bit: the nearer of the two nodes around the insertion point
         (a tie keeps the left one) is ``x`` if within its snap window.
+        ``bisect_left`` is ``searchsorted``'s left side, and Python floats
+        order ``-0.0``, ``0.0`` and the infinities as numpy does.
         """
         x = float(x)
         if math.isnan(x):
             raise InvalidArgumentError("cannot classify NaN: it is not a point of the line")
-        nodes = self.nodes
-        i = int(nodes.searchsorted(x))
-        inside = 0 < i < nodes.size  # nodes[i - 1] < x <= nodes[i]
-        j = min(i, nodes.size - 1)
-        if inside and abs(x - nodes.item(i - 1)) <= abs(x - nodes.item(i)):
+        nodes = self._node_list
+        size = len(nodes)
+        i = bisect_left(nodes, x)
+        inside = 0 < i < size  # nodes[i - 1] < x <= nodes[i]
+        j = min(i, size - 1)
+        if inside and abs(x - nodes[i - 1]) <= abs(x - nodes[i]):
             j = i - 1
-        v = nodes.item(j)
+        v = nodes[j]
         if abs(x - v) <= SNAP_REL * max(1.0, abs(v)):
             return PointKind.NODE, j
         return (PointKind.INTERIOR, i - 1) if inside else (PointKind.OUTSIDE, None)

@@ -47,7 +47,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidArgumentError
-from .grid import Grid, PointKind
+from .grid import Grid, PointKind, is_index
 
 Side = Literal["plus", "minus"]
 
@@ -187,12 +187,13 @@ class Space:
     def basis_values(self, j: int, x: float) -> np.ndarray:
         """Values of the cell-``j`` basis polynomials at ``x`` (closure of the cell).
 
-        The Legendre recurrence on Python floats: the operations of
-        :meth:`cell_basis_values` on one point, so the values are the same
-        bit for bit.
+        The Legendre recurrence and the scaling on Python floats: the
+        operations of :meth:`cell_basis_values` on one point, so the values
+        are the same bit for bit.
         """
         t = self.to_reference(j, float(x))
-        return self._scales.item(j) * np.array(_legendre(t, self.block_size))
+        scale = self._scales.item(j)
+        return np.array([scale * v for v in _legendre(t, self.block_size)])
 
     def cell_basis_values(self, cells, x) -> np.ndarray:
         """Basis values of cell ``cells[i]`` at every point of row ``x[i]``.
@@ -223,8 +224,8 @@ class Space:
         blocks of the given cells dotted with their edge rows.  Raises when
         ``j`` is not a node index or ``side`` has no cell.
         """
-        ell = self.n_cells
-        if not (isinstance(j, (int, np.integer)) and 0 <= j <= ell):
+        ell = len(self.left_rows)  # n_cells, without two property reads
+        if not (is_index(j) and 0 <= j <= ell):
             raise InvalidArgumentError(f"node index must be an integer in [0, {ell}], got {j}")
         if side is None and 0 < j < ell:
             return 0.5, ((j - 1, self.right_rows[j - 1]), (j, self.left_rows[j]))
@@ -343,10 +344,14 @@ class Ultrafunction:
         return self._at_node(*self.space.node_terms(j, side))
 
     def _at_node(self, weight: float, terms) -> float:
-        values = [float(self.blocks[c].dot(row)) for c, row in terms]
-        # exactly ``minus + plus``: sum() would add a 0 start and, from Python
-        # 3.12, a compensation term
-        return weight * (values[0] + values[1] if len(values) == 2 else values[0])
+        blocks = self.blocks
+        if len(terms) == 2:
+            (a, row_a), (b, row_b) = terms
+            # exactly ``minus + plus``: sum() would add a 0 start and, from
+            # Python 3.12, a compensation term
+            return weight * (float(blocks[a].dot(row_a)) + float(blocks[b].dot(row_b)))
+        ((a, row_a),) = terms
+        return weight * float(blocks[a].dot(row_a))
 
     def jump(self, j: int) -> float:
         """Jump at interior node ``j``: plus limit minus minus limit (end nodes are refused)."""
@@ -495,7 +500,7 @@ class SplittedBasis:
 
     def element(self, j: int, k: int) -> Ultrafunction:
         sp = self.space
-        if not (0 <= j < sp.n_cells and 0 <= k < sp.block_size):
+        if not (is_index(j) and is_index(k) and 0 <= j < sp.n_cells and 0 <= k < sp.block_size):
             raise InvalidArgumentError("basis index out of range")
         return _CellLocal(sp, ((j, np.eye(1, sp.block_size, k)[0]),))
 

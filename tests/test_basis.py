@@ -311,9 +311,10 @@ def test_cell_condition_numbers_follow_cells_for_shuffled_points(space):
 @pytest.mark.parametrize("member", ["delta_at", "cardinal_at"])
 def test_member_index_out_of_range_rejected(space, member):
     pair = basis_pair(space)
-    for i in (-1, pair.size):
+    for i in (-1, pair.size, True, np.True_, 1.5, 1.0):
         with pytest.raises(InvalidArgumentError, match="point index"):
             getattr(pair, member)(i)
+    assert np.array_equal(getattr(pair, member)(np.int64(1)).blocks, getattr(pair, member)(1).blocks)
 
 
 def test_members_of_shuffled_points_follow_their_point():

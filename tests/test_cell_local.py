@@ -21,6 +21,7 @@ from ultracalc import (
     Space,
     Ultrafunction,
     basis_pair,
+    default_interpolation_points,
     delta,
     delta_sided,
 )
@@ -123,6 +124,30 @@ def test_negative_zeros_of_pair_members_are_kept():
     assert any(np.any(np.signbit(b) & (b == 0.0)) for b in refs)
 
 
+def reference_slot(pair, i: int) -> tuple[int, int]:
+    """The scan ``_slot`` replaced: the first position of ``i`` in ``cols``."""
+    return divmod(int(np.flatnonzero(pair.cols.ravel() == i)[0]), pair.cols.shape[1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(grid=grids(), degree=st.integers(0, 6), shuffle=st.none() | st.integers(0, 2**32 - 1))
+def test_slot_inverts_cols_as_the_scan_did(grid, degree, shuffle):
+    space = Space(grid, degree)
+    points = default_interpolation_points(space)
+    if shuffle is not None:  # user points in any order, so cols is not sorted
+        points = np.random.default_rng(shuffle).permutation(points)
+    try:
+        pair = basis_pair(space, points)
+    except IndependenceError:  # Gauss points that snap onto a node on very narrow cells
+        return
+    for i in range(pair.size):
+        j, a = pair._slot(i)
+        assert (j, a) == reference_slot(pair, i) and type(j) is type(a) is int
+        assert_same_member(pair.delta_at(i), reference_pair_member(pair, j, pair.evals[j, a]))
+        assert_same_member(pair.cardinal_at(i), reference_pair_member(pair, j, pair.dual[j, :, a]))
+    assert not pair._where.flags.writeable
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda sp: delta(sp, 0.3), lambda sp: delta(sp, 0.0), lambda sp: delta_sided(sp, 2, "minus"),
@@ -148,6 +173,7 @@ def test_held_deltas_store_no_dense_array():
     rng = np.random.default_rng(0)
     points = rng.uniform(-1.0, 1.0, 64).tolist()
     nodes = rng.integers(1, 65536, 64).tolist()
+    space.grid.locate(0.0)  # the grid's one node list; test_grid bounds it per node
     tracemalloc.start()
     try:
         held = [delta(space, q) for q in points]
@@ -162,6 +188,7 @@ def test_held_deltas_store_no_dense_array():
 def test_first_read_allocates_one_dense_array():
     space = Space(Grid.uniform(1.0, 65536), 2)
     dense = space.n_cells * space.block_size * 8
+    space.grid.locate(0.0)  # the grid's one node list; test_grid bounds it per node
     tracemalloc.start()
     try:
         u = delta(space, 0.123)

@@ -154,9 +154,15 @@ def test_edge_rows_are_read_only():
         lambda u: delta_sided(u.space, 5, "minus"),
         lambda u: u.node_value(1.5),
         lambda u: u.jump(2.0),
+        lambda u: u.node_value(True),
+        lambda u: u.jump(True),
+        lambda u: u.side_value(np.True_, "plus"),
+        lambda u: delta_sided(u.space, True, "plus"),
+        lambda u: u.space.node_terms(False),
     ],
     ids=["side-plus-at-minus-1", "node-5", "node-minus-1", "side-minus-at-6",
-         "side-minus-at-5", "delta-plus-at-minus-1", "delta-minus-at-5", "node-1.5", "jump-2.0"],
+         "side-minus-at-5", "delta-plus-at-minus-1", "delta-minus-at-5", "node-1.5", "jump-2.0",
+         "node-True", "jump-True", "side-np.True_", "delta-plus-at-True", "node-terms-False"],
 )
 def test_node_index_outside_the_grid_is_refused(call):
     # 4 cells: nodes 0..4

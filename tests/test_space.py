@@ -60,6 +60,14 @@ def test_splitted_basis_elements_have_one_block(space):
             assert list(nz) == [j]
 
 
+@pytest.mark.parametrize("j, k", [(True, 0), (0, True), (np.True_, 0), (1.5, 0), (0, 1.0), (4, 0), (0, -1)])
+def test_splitted_basis_refuses_what_is_no_index(space, j, k):
+    with pytest.raises(InvalidArgumentError, match="basis index out of range"):
+        space.splitted_basis().element(j, k)
+    e = space.splitted_basis().element(np.int64(1), np.int32(2))
+    assert e.blocks[1].tolist() == [0.0, 0.0, 1.0]
+
+
 def test_disjoint_blocks_have_exactly_zero_inner(space):
     rng = np.random.default_rng(3)
     for j in range(space.n_cells):
