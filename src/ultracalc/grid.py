@@ -5,9 +5,9 @@ spaces are direct sums of per-cell polynomial spaces, and all pointwise
 conventions (one-sided limits, node averages) are phrased in terms of the
 classification produced by :meth:`Grid.locate` (one point) and
 :meth:`Grid.classify` (an array of points, with the same answers).  The
-one-point path bisects a Python list copy of the nodes, built on the first
-one-point query and kept (32 B per node), and makes the array path's
-comparisons, so the two agree bit for bit without numpy-scalar arithmetic.
+one-point path bisects a memoryview of the nodes, whose items are Python
+floats, and makes the array path's comparisons, so the two agree bit for
+bit without numpy-scalar arithmetic.
 
 Node identity is decided by exact comparison after snapping: an input within
 a relative distance of ``2**-40`` of a node is treated as that node.  The
@@ -99,8 +99,8 @@ class Grid:
     Grids are immutable after construction.
     """
 
-    # _node_list: nodes.tolist(), built by the first one-point query
-    __slots__ = ("nodes", "_node_list")
+    # _node_view: memoryview(nodes), read by the one-point path as Python floats
+    __slots__ = ("nodes", "_node_view")
 
     def __init__(self, nodes):
         arr = np.array(nodes, dtype=float)
@@ -115,17 +115,10 @@ class Grid:
             raise InvalidArgumentError(_NARROW_CELL)
         arr.flags.writeable = False
         object.__setattr__(self, "nodes", arr)
+        object.__setattr__(self, "_node_view", memoryview(arr))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Grid is immutable")
-
-    def __getattr__(self, name):
-        """Fill the ``_node_list`` slot with ``nodes.tolist()`` on its first read."""
-        if name != "_node_list":
-            raise AttributeError(name)
-        values = self.nodes.tolist()
-        object.__setattr__(self, "_node_list", values)
-        return values
 
     # ------------------------------------------------------------------
     # construction
@@ -206,7 +199,7 @@ class Grid:
     def snap(self, x: float) -> float:
         """Return the node value identified with ``x``, or ``x`` itself."""
         kind, j = self._find(x)
-        return self._node_list[j] if kind is PointKind.NODE else float(x)
+        return self._node_view[j] if kind is PointKind.NODE else float(x)
 
     def locate(self, x: float) -> PointClass:
         """Classify ``x`` as interior to a cell, a node, or outside."""
@@ -224,7 +217,7 @@ class Grid:
         x = float(x)
         if math.isnan(x):
             raise InvalidArgumentError("cannot classify NaN: it is not a point of the line")
-        nodes = self._node_list
+        nodes = self._node_view
         size = len(nodes)
         i = bisect_left(nodes, x)
         inside = 0 < i < size  # nodes[i - 1] < x <= nodes[i]

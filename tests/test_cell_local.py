@@ -173,7 +173,6 @@ def test_held_deltas_store_no_dense_array():
     rng = np.random.default_rng(0)
     points = rng.uniform(-1.0, 1.0, 64).tolist()
     nodes = rng.integers(1, 65536, 64).tolist()
-    space.grid.locate(0.0)  # the grid's one node list; test_grid bounds it per node
     tracemalloc.start()
     try:
         held = [delta(space, q) for q in points]
@@ -188,7 +187,6 @@ def test_held_deltas_store_no_dense_array():
 def test_first_read_allocates_one_dense_array():
     space = Space(Grid.uniform(1.0, 65536), 2)
     dense = space.n_cells * space.block_size * 8
-    space.grid.locate(0.0)  # the grid's one node list; test_grid bounds it per node
     tracemalloc.start()
     try:
         u = delta(space, 0.123)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ultracalc import Grid, InvalidArgumentError, PointClass, PointKind, Space, basis_pair, project
+from ultracalc import Grid, InvalidArgumentError, PointClass, PointKind, Space, project
 from ultracalc.grid import _NARROW_CELL, SNAP_REL
 
 from strategies import tag_lists, tagged_nodes
@@ -324,58 +324,32 @@ def test_widest_grid_projects_to_finite_blocks():
     assert np.max(np.abs(u.blocks - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def node_list_built(g: Grid) -> bool:
-    """Whether ``g`` holds its node list; reads the slot without building it."""
-    try:
-        Grid._node_list.__get__(g)
-    except AttributeError:
-        return False
-    return True
-
-
-def test_node_list_is_the_nodes_bit_for_bit():
+def test_node_view_is_the_nodes_bit_for_bit():
     g = Grid.with_tags(1.0, [-0.0, 0.5], 0.3)
-    twin = Grid(g.nodes)
-    assert not node_list_built(g)
+    view = g._node_view
+    assert all(type(v) is float for v in view)
+    assert np.array(view.tolist()).tobytes() == g.nodes.tobytes()
+    assert math.copysign(1.0, view[4]) == -1.0  # the -0.0 tag with_tags keeps
     assert g.locate(-0.0).index == g.locate(0.0).index == 4
-    assert node_list_built(g) and not node_list_built(twin)
-    assert np.array(g._node_list).tobytes() == g.nodes.tobytes() == np.array(g.nodes.tolist()).tobytes()
-    assert math.copysign(1.0, g._node_list[4]) == -1.0  # the -0.0 tag with_tags keeps
-    assert g._node_list is g._node_list  # built once
-    assert g == twin and twin == g
+    assert g == Grid(g.nodes) and Grid(g.nodes) == g
+    assert view.readonly
     with pytest.raises(ValueError):
         g.nodes[0] = 0.0
-    for name in ("nodes", "_node_list", "beta"):
+    for name in ("nodes", "_node_view", "beta"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(g, name, [0.0])
-    with pytest.raises(AttributeError):
-        g.no_such_attribute
 
 
-def test_construction_and_array_paths_build_no_node_list():
-    g = Grid.with_tags(1.0, [0.2], 0.1)
-    space = Space(g, 2)
-    space.zero().sample(np.linspace(-1.5, 1.5, 41))
-    g.classify(g.nodes)
-    pair = basis_pair(space)
-    pair.interpolate(np.zeros(pair.size))
-    assert not node_list_built(g)
-    space.constant(1.0)(0.3)
-    assert node_list_built(g)
-
-
-def test_node_list_takes_at_most_40_bytes_per_node():
+def test_one_point_query_allocates_nothing_per_node():
     g = Grid.uniform(1.0, 65536)
     tracemalloc.start()
     try:
         g.locate(0.1)
-        first = tracemalloc.get_traced_memory()[0]
-        g.locate(0.2)
-        again = tracemalloc.get_traced_memory()[0]
+        g.snap(0.25)
+        held = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first <= 40 * g.nodes.size
-    assert again - first < 1024
+    assert held < 4096  # no copy of the 65537 nodes
 
 
 @pytest.mark.parametrize("j", [True, np.True_, 1.5, 1.0, "1", None, -1, 4])
