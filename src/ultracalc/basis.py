@@ -75,6 +75,8 @@ def delta_sided(space: Space, j: int, side: Side) -> Ultrafunction:
 
 
 def _node_delta(space: Space, weight: float, terms) -> Ultrafunction:
+    if weight == 1.0:  # one limit: the read-only edge row itself, the bits of ``1.0 * row``
+        return _CellLocal(space, terms)
     return _CellLocal(space, tuple((cell, weight * row) for cell, row in terms))
 
 

@@ -43,18 +43,25 @@ right``, so the result equals that of a depth-first recursion bit for bit.
 Cells containing a declared singular point are handled by geometric
 subdivision toward the singularity (ratio one half), summing the engine's
 integrals over the pieces until the increment drops below the tolerance.
-The integrand is only ever evaluated on open subintervals, never at a
-declared singular point: once the next piece would round onto the point, the
-subdivision stops and fails.  Either scheme raises
+The bounds of every piece, and the points and basis values of every piece's
+first panel, are built up front in one array pass; ``f`` is then evaluated
+one piece at a time, in order, so no piece past the last one needed is ever
+evaluated.  The integrand is only ever evaluated on open subintervals, never
+at a declared singular point: once the next piece would round onto the
+point, the subdivision stops and fails.  Either scheme raises
 :class:`~ultracalc.errors.QuadratureError` with the cell index after 60
 subdivisions without convergence (the lowest such cell for bisection).
 
-Note that the default tolerance cannot always be reached within the
-subdivision cap for strong integrable singularities (the increments of
-``|x|**-0.5`` shrink only like ``2**(-m/2)``); callers project such
-functions with an explicitly loosened tolerance.  Even ``1e-9`` fails when
-the singular point is a grid node, as ``0`` is on uniform grids with an even
-number of cells.
+Note that the default tolerance cannot always be reached for strong
+integrable singularities (the increments of ``|x - s|**-0.5`` shrink only
+like ``2**(-m/2)``); callers project such functions with an explicitly
+loosened tolerance.  Whether ``1e-9`` is reached is decided by ``|s|``, not
+by whether ``s`` lies inside a cell: a piece rounds onto ``s`` after about
+``52 + log2(d / |s|)`` pieces starting a distance ``d`` from ``s``, some 50
+pieces, which fall short of ``1e-9``; only near ``s = 0`` does the tail run
+to the cap of 60.  So ``|x - 0.3|**-0.5`` on 15 uniform cells fails, and
+``|x|**-0.5`` converges there but fails at degree 1 or more when ``0`` is a
+grid node, as on uniform grids with an even number of cells.
 """
 
 from __future__ import annotations
@@ -132,6 +139,8 @@ _CHUNK = 64  # intervals per `_panels` batch; bounds the size of the point array
 #: multiple of eps times width times the largest ``|integrand|`` below which
 #: the Kronrod-Gauss difference is rounding, not truncation (QUADPACK's 50)
 _ROUNDING = 50.0 * np.finfo(float).eps
+#: multiple of eps times ``max(1, |lo|, |hi|)`` at or below which an interval is too narrow to split
+_WIDTH = 4.0 * np.finfo(float).eps
 
 
 @functools.cache
@@ -182,42 +191,65 @@ def _accepted(sums, peak, lo, hi, tol):
     """Kronrod-Gauss test against ``tol`` or the rounding floor, or an interval too narrow to split.
 
     The floor is ``_ROUNDING * (hi - lo) * peak``; an estimate strictly below
-    it is accepted, so a non-finite one never is.
+    it is accepted, so a non-finite one never is.  The width test runs only
+    when some interval fails both others.
     """
-    err = np.abs(sums[:, 0] - sums[:, 1]).max(axis=-1)
-    width = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    return (err <= tol) | (err < _ROUNDING * (hi - lo) * peak) | ((hi - lo) <= width)
+    err = np.maximum.reduce(np.abs(sums[:, 0] - sums[:, 1]), axis=-1)
+    ok = (err <= tol) | (err < _ROUNDING * (hi - lo) * peak)
+    if not ok.all():
+        ok |= (hi - lo) <= _WIDTH * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return ok
 
 
-def _panels(integrand, handle, space, cells, lo, hi, whole):
+def _panel_points(lo, hi, t):
+    """The points ``mid + half * t`` of the intervals ``[lo, hi]``, one row each, and ``half``."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * t, half
+
+
+def _whole_cells(space, cells, a, b):
+    """Panels over the ``cells = [a, b]`` themselves, for the ``first`` level of :func:`_intervals`.
+
+    Their basis values are each cell's scale times the per-degree table of
+    :func:`_panel_rule`, built one chunk of rows at a time.
+    """
+    t, _, table = _panel_rule(space.degree)
+
+    def panels(rows):
+        x, half = _panel_points(a[rows], b[rows], t)
+        return x, half, space._scales[cells[rows]][:, None, None] * table
+
+    return panels
+
+
+def _panels(integrand, handle, space, cells, lo, hi, given):
     """Kronrod and embedded Gauss sums over the intervals ``[lo, hi]`` of the m ``cells``.
 
     The points of ``_CHUNK`` intervals at a time go to ``handle.array``, and
     their values with the cells' basis values at the points to
-    ``integrand(cells, fx, basis)``, in one call each.  When the intervals
-    are ``whole`` cells the basis values are each cell's scale times the
-    per-degree table of :func:`_panel_rule`, built one chunk at a time;
-    otherwise :meth:`Space.cell_basis_values` maps the points back to their
-    cells.  Both sums add the weighted values in rule order, one point after
-    the other (``np.add.accumulate`` is sequential).  A value of ``f`` that
-    is not finite raises ``InvalidArgumentError``; an overflow of the
-    integrand or of its sums is left to the caller.  Returns the ``(m, 2,
-    r)`` sums, Kronrod first, and each interval's largest ``|integrand|``.
+    ``integrand(cells, fx, basis)``, in one call each.  ``given(rows)``, when
+    passed, returns the points, half-widths and basis values of the
+    intervals ``rows`` (a slice); otherwise the points come from
+    :func:`_panel_points` and :meth:`Space.cell_basis_values` maps them back
+    to their cells.  Both sums add the weighted values in rule order, one
+    point after the other (``np.add.accumulate`` is sequential).  A value of
+    ``f`` that is not finite raises ``InvalidArgumentError``; an overflow of
+    the integrand or of its sums is left to the caller.  Returns the ``(m,
+    2, r)`` sums, Kronrod first, and each interval's largest ``|integrand|``.
     """
-    t, w, table = _panel_rule(space.degree)
+    t, w, _ = _panel_rule(space.degree)
     sums, peak = [], []
     for start in range(0, len(cells), _CHUNK):
         rows = slice(start, start + _CHUNK)
         chunk = cells[rows]
-        mid, half = 0.5 * (lo[rows] + hi[rows]), 0.5 * (hi[rows] - lo[rows])
-        x = mid[:, None] + half[:, None] * t
+        if given is None:
+            x, half = _panel_points(lo[rows], hi[rows], t)
+            basis = space.cell_basis_values(chunk, x)
+        else:
+            x, half, basis = given(rows)
         fx = handle.array(x)
         if not np.isfinite(fx).all():
             _refuse_non_finite(chunk, x, fx)
-        if whole:
-            basis = space._scales[chunk][:, None, None] * table
-        else:
-            basis = space.cell_basis_values(chunk, x)
         with np.errstate(over="ignore", invalid="ignore"):
             values = integrand(chunk, fx, basis)
             total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
@@ -237,11 +269,12 @@ def _refuse_non_finite(cells, x, fx):
     )
 
 
-def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.ndarray:
+def _intervals(integrand, handle, space, cells, lo, hi, tol, first=None) -> np.ndarray:
     """Integrals over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
 
-    ``whole`` says that the intervals are the cells themselves; it holds for
-    the first level only, the children of a split never being whole cells.
+    ``first``, when given, hands :func:`_panels` the points, half-widths and
+    basis values of the first level, the intervals themselves; the children
+    of a split always map their points back to their cells.
     Bisects level by level.  Each level evaluates the Kronrod panel of every
     open interval once; an interval whose Kronrod and embedded Gauss sums
     differ by more than ``tol`` and its rounding floor is split in two, the
@@ -254,7 +287,7 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.
     """
     levels = []
     for depth in range(MAX_SUBDIVISIONS + 1):
-        sums, peak = _panels(integrand, handle, space, cells, lo, hi, whole and depth == 0)
+        sums, peak = _panels(integrand, handle, space, cells, lo, hi, first if depth == 0 else None)
         # an integrand value that is not finite leaves its Kronrod sum so too
         if not np.isfinite(sums).all():
             j = int(cells[np.argmin(np.isfinite(sums).all(axis=(1, 2)))])
@@ -283,16 +316,28 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.
 def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
     """Sum integrals over geometrically shrinking intervals of cell ``j`` approaching ``s``.
 
-    Stops short of a piece that rounds onto ``s``, so ``s`` is never evaluated.
+    Stops short of a piece that rounds onto ``s``, so ``s`` is never
+    evaluated.  The points, half-widths and basis values of every piece's
+    first panel are built up front in one array pass; ``f`` is then
+    evaluated one piece at a time, in order, until a piece's integral drops
+    below ``tol``.
     """
-    cells, total = np.array([j]), None
+    bounds = []
     for m in range(MAX_SUBDIVISIONS):
         outer = s + (far - s) * 0.5**m
         inner = s + (far - s) * 0.5 ** (m + 1)
         lo, hi = (inner, outer) if inner < outer else (outer, inner)
         if inner == s or lo == hi:
             break
-        piece = _intervals(integrand, handle, space, cells, np.array([lo]), np.array([hi]), tol)[0]
+        bounds.append((lo, hi))
+    lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+    x, half = _panel_points(lo, hi, _panel_rule(space.degree)[0])
+    basis = space.cell_basis_values(np.full(len(lo), j), x)
+    cells, total = np.array([j]), None
+    for m in range(len(lo)):
+        k = slice(m, m + 1)  # one interval, so the first chunk of rows is all of it
+        first = (x[k], half[k], basis[k])
+        piece = _intervals(integrand, handle, space, cells, lo[k], hi[k], tol, lambda rows: first)[0]
         total = piece if total is None else total + piece
         if float(np.max(np.abs(piece))) < tol:
             return total
@@ -334,14 +379,14 @@ def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None)
     cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
     a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
     if not handle.singular:
-        return _intervals(integrand, handle, space, cells, a, b, tol, whole=True)
+        return _intervals(integrand, handle, space, cells, a, b, tol, _whole_cells(space, cells, a, b))
     s = np.asarray(handle.singular, dtype=float)
     holds = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
     regular, singular = np.flatnonzero(~holds), np.flatnonzero(holds)
     parts = []
     if regular.size:
         rows = cells[regular], a[regular], b[regular]
-        parts.append(_intervals(integrand, handle, space, *rows, tol, whole=True))
+        parts.append(_intervals(integrand, handle, space, *rows, tol, _whole_cells(space, *rows)))
     for i in singular:
         cell = _integrate_cell(integrand, handle, space, int(cells[i]), a[i], b[i], tol)
         parts.append(cell[None])

@@ -110,6 +110,24 @@ def test_cell_local_members_match_the_dense_references(grid, degree, draws):
         assert_same_member(pair.cardinal_at(i), reference_pair_member(pair, j, pair.dual[j, :, a]))
 
 
+@pytest.mark.parametrize("degree", [0, 1, 4])
+def test_one_sided_and_boundary_deltas_match_the_weighted_rows(degree):
+    # with_tags keeps the tag -0.0 as a node; a one-sided delta holds its
+    # read-only edge row, where the reference multiplies it by 1.0
+    space = Space(Grid.with_tags(1.0, [-0.0, 0.3, -0.55], 0.25), degree)
+    nodes = space.grid.nodes
+    assert nodes[5] == 0.0 and np.signbit(nodes[5])
+    ell = space.n_cells
+    for j in range(ell + 1):
+        for side in (["plus"] if j < ell else []) + (["minus"] if j > 0 else []):
+            got = delta_sided(space, j, side)
+            ((cell, row),) = got._terms
+            assert np.shares_memory(row, space.left_rows if side == "plus" else space.right_rows)
+            assert_same_member(got, reference_node_delta(space, *space.node_terms(j, side)))
+    for q in (float(nodes[0]), float(nodes[-1]), -0.0):
+        assert_same_member(delta(space, q), reference_delta(space, q))
+
+
 def test_negative_zeros_of_pair_members_are_kept():
     # at p=8 on three uniform cells the solve leaves a -0.0 in one cardinal block
     pair = basis_pair(Space(Grid.uniform(1.0, 3), 8))

@@ -562,6 +562,28 @@ def test_singular_node_fails_with_quadrature_error():
     assert "ZeroDivisionError" not in cp.stderr
 
 
+@pytest.mark.parametrize(
+    "cells, point, tol, code",
+    [
+        (15, "0", "1e-9", 0),
+        (15, "0.3", "1e-9", 1),  # inside a cell, but away from 0: too few pieces
+        (15, "0.3", "1e-6", 0),
+        (None, "0", "1e-9", 1),  # a node of the default 16-cell space
+        (None, "0", "1e-6", 0),
+    ],
+)
+def test_readme_singular_tolerance_cases(tmp_path, capsys, cells, point, tol, code):
+    space = []
+    if cells is not None:
+        path = tmp_path / "space.json"
+        assert cli.main(["space", "--cells", str(cells), "--degree", "2", "--out", str(path)]) == 0
+        space = ["--space", str(path)]
+    fn = "abs(x)^-0.5" if point == "0" else f"abs(x-{point})^-0.5"
+    assert cli.main(["project", *space, "--fn", fn, "--singular", point, "--tol", tol]) == code
+    err = capsys.readouterr().err
+    assert ("singular quadrature did not converge" in err) == (code == 1)
+
+
 @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command", [["project", "--fn", "sin(x)"], ["embed", "--k", "1", "--fn", "x"]], ids=["project", "embed"]

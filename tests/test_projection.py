@@ -445,17 +445,37 @@ def test_singular_tail_matches_per_point_reference(ell, p):
     assert np.array_equal(u.blocks, ref)
 
 
-def test_failing_singular_tail_names_the_reference_cell():
-    sp = Space(Grid.uniform(1.0, 4), 2)
-    singular = (0.0, 0.05)
+@pytest.mark.parametrize(
+    "ell, p, singular, calls",
+    [
+        (4, 2, (0.0, 0.05), 930),
+        # the benchmark's failing cases: a node, then a point inside a cell
+        (16, 0, (-0.375,), 975),
+        (16, 2, (-0.375,), 975),
+        (16, 6, (-0.375,), 1095),
+        (16, 0, (0.3125,), 1035),
+        (16, 2, (0.3125,), 1035),
+        (16, 6, (0.3125,), 1155),
+    ],
+    ids=["two-points", "node-p0", "node-p2", "node-p6", "inside-p0", "inside-p2", "inside-p6"],
+)
+def test_failing_singular_tail_names_the_reference_cell(ell, p, singular, calls):
+    # the call count pins the tail to evaluating f piece by piece, in order,
+    # and no further than the piece it fails on
+    sp = Space(Grid.uniform(1.0, ell), p)
+    seen = []
 
     def f(x):
-        return abs(x) ** -0.5 + abs(x - 0.05) ** -0.5
+        seen.append(x)
+        return sum(abs(x - s) ** -0.5 for s in singular)
 
     with pytest.raises(QuadratureError) as ref:
         _per_point_reference(sp, lambda j, x, e: f(x) * e, 1e-9, singular)
+    assert len(seen) == calls
+    seen.clear()
     with pytest.raises(QuadratureError) as err:
         project(sp, FunctionHandle(f, singular), tol=1e-9)
+    assert len(seen) == calls
     assert err.value.cell_index == ref.value.cell_index
     assert str(err.value) == str(ref.value)
 
