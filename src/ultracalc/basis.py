@@ -175,13 +175,11 @@ class BasisPair:
         """Pairings of each cell's delta members with its cardinal members.
 
         Entry ``[j, a, b]`` pairs the delta member at ``points[cols[j, a]]``
-        with the cardinal member at ``points[cols[j, b]]``, by the Gauss rule
-        ``inner`` uses; members of different cells pair to exactly zero.
+        with the cardinal member at ``points[cols[j, b]]``: the dot product of
+        their cell-``j`` blocks, as ``inner`` computes it.  Members of
+        different cells pair to exactly zero.
         """
-        sp = self.space
-        deltas = self.evals @ sp._quad_vals.T  # (ell, n, nq)
-        cards = self.dual.transpose(0, 2, 1) @ sp._quad_vals.T
-        return np.einsum("jai,jbi,i->jab", deltas, cards, sp._quad_w)
+        return self.evals @ self.dual
 
     def cell_condition_numbers(self) -> np.ndarray:
         """2-norm condition number of each cell's point-evaluation matrix.

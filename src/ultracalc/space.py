@@ -6,15 +6,14 @@ On the reference interval ``[-1, 1]`` the basis is the orthonormal Legendre
 basis ``sqrt(k + 1/2) * P_k(t)``, ``k = 0 .. p``, the modal basis of
 discontinuous-Galerkin methods.  One kernel, ``_legendre``, evaluates it by
 the three-term recurrence, on a Python float or on an array alike.  Its
-derivative coupling and its edge values have closed forms.  The basis
-values at the Gauss rule, the coupling and the edge values depend on the
-degree alone, so they are built once per degree and shared, read-only, by
-every space of that degree; a space adds only its grid's widths, midpoints
-and scales.  Each cell carries the affinely mapped copy of that basis,
-rescaled by ``sqrt(2 / h)`` so it stays orthonormal in L2 over the cell.
-The whole space is the orthogonal direct sum of the cell spaces: basis
-elements of different cells have disjoint supports, so their inner product
-is exactly zero, never merely small.
+derivative coupling and its edge values have closed forms.  The coupling
+and the edge values depend on the degree alone, so they are built once per
+degree and shared, read-only, by every space of that degree; a space adds
+only its grid's widths, midpoints and scales.  Each cell carries the
+affinely mapped copy of that basis, rescaled by ``sqrt(2 / h)`` so it stays
+orthonormal in L2 over the cell.  The whole space is the orthogonal direct
+sum of the cell spaces: basis elements of different cells have disjoint
+supports, so their inner product is exactly zero, never merely small.
 
 Pointwise conventions
 ---------------------
@@ -31,8 +30,10 @@ rows of all cells at once.  The one-point paths (:meth:`Space.basis_values`,
 :meth:`Space.cell_basis_values` and :meth:`Ultrafunction.sample` bit for
 bit.
 
-All inner products and integrals use the per-cell Gauss rule with ``p + 2``
-points, exact for polynomial integrands of degree up to ``2p + 3``.
+Inner products and integrals need no quadrature.  Each cell's Gram matrix
+is exactly the identity, so the inner product of two members is the sum over
+cells of the dot products of their blocks, and the integral of a member over
+cell ``j`` is ``sqrt(h_j)`` times its constant coefficient.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 from .errors import InvalidArgumentError
 from .grid import Grid, PointKind, is_index
@@ -85,24 +85,36 @@ def _legendre(t, n: int) -> list:
 def _reference(degree: int):
     """Everything about the degree-``degree`` basis on ``[-1, 1]`` that no grid changes.
 
-    Returns ``(t, w, quad_vals, deriv_ref, left, right)``: the ``p + 2``
-    Gauss points and weights, the basis values at them ``(nq, n)``, the
-    derivative coupling ``ref[m, k] = integral of e_m * e_k'``, which is
-    ``sqrt((2m + 1)(2k + 1))`` for ``k > m`` with ``k + m`` odd and 0
-    otherwise, and the basis values at ``-1`` and ``1``,
-    ``(+-1)**k * sqrt(k + 1/2)``.  The cache hands the same arrays to every
-    space of the degree, so they are read-only.
+    Returns ``(deriv_ref, left, right)``: the derivative coupling
+    ``ref[m, k] = integral of e_m * e_k'``, which is ``sqrt((2m + 1)(2k + 1))``
+    for ``k > m`` with ``k + m`` odd and 0 otherwise, and the basis values at
+    ``-1`` and ``1``, ``(+-1)**k * sqrt(k + 1/2)``.  The cache hands the same
+    arrays to every space of the degree, so they are read-only.
     """
     n = degree + 1
-    t, w = leggauss(degree + 2)
-    quad_vals = np.stack(_legendre(t, n), axis=-1)
     left, right = np.stack(_legendre(np.array([-1.0, 1.0]), n), axis=-1)
     k = np.arange(n)
     m = k[:, None]
     deriv_ref = np.where((k > m) & ((k + m) % 2 == 1), np.sqrt((2.0 * m + 1.0) * (2.0 * k + 1.0)), 0.0)
-    for a in (t, w, quad_vals, deriv_ref, left, right):
+    for a in (deriv_ref, left, right):
         a.flags.writeable = False
-    return t, w, quad_vals, deriv_ref, left, right
+    return deriv_ref, left, right
+
+
+@functools.cache
+def _monomial_moments(n: int) -> np.ndarray:
+    """``(n, n)`` read-only table of ``integral over [-1, 1] of t**i * e_k(t) dt``.
+
+    ``t**i = sum_k c_ik P_k`` (``legendre.poly2leg``) and ``P_k`` has squared
+    norm ``2 / (2k + 1)``, so the entry is ``c_ik / sqrt(k + 1/2)``.  It is
+    exactly zero for ``k > i`` and for odd ``i + k``.
+    """
+    table = np.zeros((n, n))
+    for i in range(n):
+        table[i, : i + 1] = legendre.poly2leg([0.0] * i + [1.0])
+    table /= np.sqrt(np.arange(n) + 0.5)
+    table.flags.writeable = False
+    return table
 
 
 class Space:
@@ -111,9 +123,6 @@ class Space:
     __slots__ = (
         "grid",
         "degree",
-        "_quad_t",
-        "_quad_w",
-        "_quad_vals",
         "_deriv_ref",
         "left_rows",
         "right_rows",
@@ -130,12 +139,9 @@ class Space:
         if not valid:
             raise InvalidArgumentError(f"degree must be a nonnegative integer, got {degree!r}")
         degree = int(degree)
-        t, w, vals, deriv_ref, left, right = _reference(degree)
+        deriv_ref, left, right = _reference(degree)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_quad_t", t)
-        object.__setattr__(self, "_quad_w", w)
-        object.__setattr__(self, "_quad_vals", vals)
         object.__setattr__(self, "_deriv_ref", deriv_ref)
         widths = grid.widths()
         scales = np.sqrt(2.0 / widths)
@@ -239,15 +245,15 @@ class Space:
             raise InvalidArgumentError("side must be 'plus' or 'minus'")
         raise InvalidArgumentError(f"no cell on the {side} side of node {j}")
 
-    def _product_integral(self, a, b) -> float:
+    @staticmethod
+    def _product_integral(a, b) -> float:
         """Integral of the product of two members' blocks ``a`` and ``b`` over their cells.
 
-        Values at the reference Gauss points are left unscaled: the square of
-        the ``sqrt(2 / h)`` basis scale cancels the ``h / 2`` of the weights.
+        The cell bases are orthonormal, so it is the sum over cells of the
+        blocks' dot products.  A sum that overflows is ``inf``, without a warning.
         """
-        va = a @ self._quad_vals.T  # (cells, nq)
-        vb = b @ self._quad_vals.T
-        return float(np.einsum("ji,ji,i->", va, vb, self._quad_w))
+        with np.errstate(over="ignore"):
+            return float(np.vecdot(a, b).sum())
 
     # ------------------------------------------------------------------
     # members
@@ -259,7 +265,11 @@ class Space:
     def from_polynomial(self, poly_coeffs) -> "Ultrafunction":
         """Exact member equal to ``sum_m a_m x**m`` on the whole support.
 
-        The polynomial degree must not exceed the cell degree.
+        The polynomial degree must not exceed the cell degree.  On each cell
+        one vectorized Horner pass composes ``q(t) = sum_m a_m (mid + h t / 2)**m``,
+        and the block is ``sqrt(h / 2)`` times ``q``'s coefficients against
+        :func:`_monomial_moments`.  The coefficients above the polynomial's
+        degree are exactly zero.
         """
         a = np.asarray(poly_coeffs, dtype=float)
         if a.ndim != 1 or a.size == 0:
@@ -268,10 +278,15 @@ class Space:
             raise InvalidArgumentError(
                 f"polynomial degree {a.size - 1} exceeds cell degree {self.degree}"
             )
-        half = 0.5 * self._widths[:, None]
-        xs, ws = self._mids[:, None] + half * self._quad_t, half * self._quad_w
-        bvals = self._scales[:, None, None] * self._quad_vals  # (cells, nq, n)
-        blocks = np.matmul((ws * npoly.polyval(xs, a))[:, None, :], bvals)[:, 0]
+        ell, d = self.n_cells, a.size
+        mid, half = self._mids[:, None], 0.5 * self._widths[:, None]
+        q = np.zeros((ell, d))  # q[j, i] multiplies t**i on cell j
+        q[:, :1] = a[-1]
+        for coeff in a[-2::-1]:
+            q[:, 1:] = mid * q[:, 1:] + half * q[:, :-1]
+            q[:, :1] = mid * q[:, :1] + coeff
+        blocks = np.zeros((ell, self.block_size))
+        blocks[:, :d] = np.sqrt(half) * (q @ _monomial_moments(d))
         return Ultrafunction(self, blocks)
 
     def constant(self, value: float) -> "Ultrafunction":
@@ -387,7 +402,7 @@ class Ultrafunction:
     # ------------------------------------------------------------------
 
     def inner(self, other: "Ultrafunction") -> float:
-        """L2 inner product, summed cell by cell with the exact Gauss rule."""
+        """L2 inner product: the sum over cells of the blocks' dot products."""
         sp = self.space
         if other.space is not sp and other.space != sp:
             raise InvalidArgumentError("members belong to different spaces")
@@ -400,12 +415,12 @@ class Ultrafunction:
             # scaling by a power of two is exact, so only the overflow is avoided
             e = math.frexp(float(np.max(np.abs(self.blocks))))[1]
             scaled = np.ldexp(self.blocks, -e)
-            root = math.sqrt(max(self.space._product_integral(scaled, scaled), 0.0))
+            root = math.sqrt(self.space._product_integral(scaled, scaled))
             try:
                 return math.ldexp(root, e)
             except OverflowError:  # the norm itself exceeds the largest float
                 return math.inf
-        return math.sqrt(max(square, 0.0))
+        return math.sqrt(square)
 
     # ------------------------------------------------------------------
     # algebra
@@ -477,7 +492,7 @@ class _CellLocal(Ultrafunction):
         if name != "blocks":
             raise AttributeError(name)
         sp = self.space
-        arr = np.zeros((sp.n_cells, sp.block_size))
+        arr = np.zeros((len(sp.left_rows), sp.block_size))  # n_cells, without two property reads
         for cell, block in self._terms:
             arr[cell] = block
         arr.flags.writeable = False
@@ -500,7 +515,7 @@ class SplittedBasis:
 
     def element(self, j: int, k: int) -> Ultrafunction:
         sp = self.space
-        if not (is_index(j) and is_index(k) and 0 <= j < sp.n_cells and 0 <= k < sp.block_size):
+        if not (is_index(j) and is_index(k) and 0 <= j < len(sp.left_rows) and 0 <= k < sp.block_size):
             raise InvalidArgumentError("basis index out of range")
         return _CellLocal(sp, ((j, np.eye(1, sp.block_size, k)[0]),))
 
@@ -510,10 +525,9 @@ class SplittedBasis:
                 yield self.element(j, k)
 
     def gram_matrix(self) -> np.ndarray:
-        """Inner products within one cell, ``(p + 1, p + 1)`` (identity up to rounding).
+        """Inner products within one cell, ``(p + 1, p + 1)``: exactly the identity.
 
         Every cell has this block, and elements of different cells are
         exactly orthogonal, so the full Gram matrix is ``kron(eye(ell), block)``.
         """
-        sp = self.space
-        return np.einsum("ik,im,i->km", sp._quad_vals, sp._quad_vals, sp._quad_w)
+        return np.eye(self.space.block_size)

@@ -374,11 +374,21 @@ HIGH_DEGREE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("name", HIGH_DEGREE_GRIDS)
-@pytest.mark.parametrize("degree", range(15))
-def test_every_verify_check_passes_up_to_degree_14(name, degree):
+def _every_verify_check_passes(name, degree):
     grid = HIGH_DEGREE_GRIDS[name]
     results = run_suites(Space(grid, degree), "all", 5, 20)
     failed = [f"{r.suite} {r.check} {r.max_defect!r} > {r.tolerance!r}" for r in results if not r.passed]
     _report("verify at high degree", not failed, f"{name} ell={grid.n_cells} p={degree}: {failed}")
     assert not failed
+
+
+@pytest.mark.parametrize("name", HIGH_DEGREE_GRIDS)
+@pytest.mark.parametrize("degree", range(15))
+def test_every_verify_check_passes_up_to_degree_14(name, degree):
+    _every_verify_check_passes(name, degree)
+
+
+@pytest.mark.parametrize("name", HIGH_DEGREE_GRIDS)
+@pytest.mark.parametrize("degree", range(15, 21))
+def test_every_verify_check_passes_from_degree_15_to_20(name, degree):
+    _every_verify_check_passes(name, degree)
