@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
+from .grid import is_index
 from .space import Space, Ultrafunction
 
 #: absolute jump size below which a member counts as continuous at a node
@@ -131,8 +132,10 @@ def integrate_product(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> flo
 
 
 def _check_node_range(space: Space, n: int, m: int):
-    if not (0 <= n <= m <= space.n_cells):
-        raise InvalidArgumentError("node indices must satisfy 0 <= n <= m <= last")
+    if not (is_index(n) and is_index(m) and 0 <= n <= m <= space.n_cells):
+        raise InvalidArgumentError(
+            f"node indices must be integers with 0 <= n <= m <= last, got {n!r} and {m!r}"
+        )
 
 
 # ----------------------------------------------------------------------

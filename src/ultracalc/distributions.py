@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .calculus import derivative_operator
 from .errors import InvalidArgumentError, PreconditionError
+from .grid import is_count
 from .projection import DEFAULT_TOL, FunctionHandle, as_handle, project
 from .space import Space, Ultrafunction
 
@@ -33,7 +34,7 @@ class DistributionSpec:
     f: FunctionHandle
 
     def __post_init__(self):
-        if self.order != int(self.order) or int(self.order) < 0:
+        if not is_count(self.order, 0):
             raise InvalidArgumentError("derivative order must be a nonnegative integer")
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "f", as_handle(self.f))

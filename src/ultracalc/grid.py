@@ -58,6 +58,18 @@ def is_index(i) -> bool:
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
+def is_count(n, least: int) -> bool:
+    """Whether ``n`` is a whole number of at least ``least``, such as a degree or a cell count.
+
+    Integral floats such as ``2.0`` count; a bool, a fractional value, NaN
+    and the infinities do not.  Callers convert with ``int(n)``.
+    """
+    try:
+        return not isinstance(n, (bool, np.bool_)) and n == int(n) >= least
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 class PointKind(IntEnum):
     """Kind of a point against a grid; :meth:`Grid.classify` returns these codes."""
 
@@ -127,7 +139,7 @@ class Grid:
     @classmethod
     def uniform(cls, beta: float, ell: int) -> "Grid":
         """Uniform partition of ``[-beta, beta]`` into ``ell`` cells."""
-        if ell != int(ell) or int(ell) < 1:
+        if not is_count(ell, 1):
             raise InvalidArgumentError("ell must be a positive integer")
         beta = _support(beta)  # before linspace overflows
         return cls(np.linspace(-beta, beta, int(ell) + 1))

@@ -43,10 +43,11 @@ right``, so the result equals that of a depth-first recursion bit for bit.
 Cells containing a declared singular point are handled by geometric
 subdivision toward the singularity (ratio one half), summing the engine's
 integrals over the pieces until the increment drops below the tolerance.
-The bounds of every piece, and the points and basis values of every piece's
-first panel, are built up front in one array pass; ``f`` is then evaluated
-one piece at a time, in order, so no piece past the last one needed is ever
-evaluated.  The integrand is only ever evaluated on open subintervals, never
+All the pieces of one such tail are integrated in one engine call, and their
+integrals are then summed in order; so ``f`` is evaluated on the pieces past
+the one where the sum stops too, and an error there (a value that is not
+finite, an overflow, or the bisection cap) propagates as on any other
+piece.  The integrand is only ever evaluated on open subintervals, never
 at a declared singular point: once the next piece would round onto the
 point, the subdivision stops and fails.  Either scheme raises
 :class:`~ultracalc.errors.QuadratureError` with the cell index after 60
@@ -207,46 +208,31 @@ def _panel_points(lo, hi, t):
     return mid[:, None] + half[:, None] * t, half
 
 
-def _whole_cells(space, cells, a, b):
-    """Panels over the ``cells = [a, b]`` themselves, for the ``first`` level of :func:`_intervals`.
-
-    Their basis values are each cell's scale times the per-degree table of
-    :func:`_panel_rule`, built one chunk of rows at a time.
-    """
-    t, _, table = _panel_rule(space.degree)
-
-    def panels(rows):
-        x, half = _panel_points(a[rows], b[rows], t)
-        return x, half, space._scales[cells[rows]][:, None, None] * table
-
-    return panels
-
-
-def _panels(integrand, handle, space, cells, lo, hi, given):
+def _panels(integrand, handle, space, cells, lo, hi, whole):
     """Kronrod and embedded Gauss sums over the intervals ``[lo, hi]`` of the m ``cells``.
 
     The points of ``_CHUNK`` intervals at a time go to ``handle.array``, and
     their values with the cells' basis values at the points to
-    ``integrand(cells, fx, basis)``, in one call each.  ``given(rows)``, when
-    passed, returns the points, half-widths and basis values of the
-    intervals ``rows`` (a slice); otherwise the points come from
-    :func:`_panel_points` and :meth:`Space.cell_basis_values` maps them back
-    to their cells.  Both sums add the weighted values in rule order, one
-    point after the other (``np.add.accumulate`` is sequential).  A value of
-    ``f`` that is not finite raises ``InvalidArgumentError``; an overflow of
-    the integrand or of its sums is left to the caller.  Returns the ``(m,
-    2, r)`` sums, Kronrod first, and each interval's largest ``|integrand|``.
+    ``integrand(cells, fx, basis)``, in one call each.  The basis values are
+    each cell's scale times the per-degree table of :func:`_panel_rule` when
+    the intervals are the ``whole`` cells, and otherwise
+    :meth:`Space.cell_basis_values` maps the points back to their cells.
+    Both sums add the weighted values in rule order, one point after the
+    other (``np.add.accumulate`` is sequential).  A value of ``f`` that is
+    not finite raises ``InvalidArgumentError``; an overflow of the integrand
+    or of its sums is left to the caller.  Returns the ``(m, 2, r)`` sums,
+    Kronrod first, and each interval's largest ``|integrand|``.
     """
-    t, w, _ = _panel_rule(space.degree)
+    t, w, table = _panel_rule(space.degree)
     sums, peak = [], []
     for start in range(0, len(cells), _CHUNK):
         rows = slice(start, start + _CHUNK)
         chunk = cells[rows]
-        if given is None:
-            x, half = _panel_points(lo[rows], hi[rows], t)
-            basis = space.cell_basis_values(chunk, x)
+        x, half = _panel_points(lo[rows], hi[rows], t)
+        if whole:
+            basis = space._scales[chunk][:, None, None] * table
         else:
-            x, half, basis = given(rows)
+            basis = space.cell_basis_values(chunk, x)
         fx = handle.array(x)
         if not np.isfinite(fx).all():
             _refuse_non_finite(chunk, x, fx)
@@ -269,12 +255,12 @@ def _refuse_non_finite(cells, x, fx):
     )
 
 
-def _intervals(integrand, handle, space, cells, lo, hi, tol, first=None) -> np.ndarray:
+def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.ndarray:
     """Integrals over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
 
-    ``first``, when given, hands :func:`_panels` the points, half-widths and
-    basis values of the first level, the intervals themselves; the children
-    of a split always map their points back to their cells.
+    ``whole`` says that the intervals are their cells themselves, so the
+    first level's panels take their basis values from the per-degree table;
+    the children of a split always map their points back to their cells.
     Bisects level by level.  Each level evaluates the Kronrod panel of every
     open interval once; an interval whose Kronrod and embedded Gauss sums
     differ by more than ``tol`` and its rounding floor is split in two, the
@@ -287,7 +273,7 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, first=None) -> np.n
     """
     levels = []
     for depth in range(MAX_SUBDIVISIONS + 1):
-        sums, peak = _panels(integrand, handle, space, cells, lo, hi, first if depth == 0 else None)
+        sums, peak = _panels(integrand, handle, space, cells, lo, hi, whole and depth == 0)
         # an integrand value that is not finite leaves its Kronrod sum so too
         if not np.isfinite(sums).all():
             j = int(cells[np.argmin(np.isfinite(sums).all(axis=(1, 2)))])
@@ -317,10 +303,11 @@ def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
     """Sum integrals over geometrically shrinking intervals of cell ``j`` approaching ``s``.
 
     Stops short of a piece that rounds onto ``s``, so ``s`` is never
-    evaluated.  The points, half-widths and basis values of every piece's
-    first panel are built up front in one array pass; ``f`` is then
-    evaluated one piece at a time, in order, until a piece's integral drops
-    below ``tol``.
+    evaluated.  Every piece is integrated in one engine call; their
+    integrals are then summed in order until a piece's integral drops below
+    ``tol``.  A piece past that one is evaluated too, so an error on it
+    (a value that is not finite, an overflow, or the bisection cap)
+    propagates.
     """
     bounds = []
     for m in range(MAX_SUBDIVISIONS):
@@ -330,17 +317,13 @@ def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
         if inner == s or lo == hi:
             break
         bounds.append((lo, hi))
-    lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
-    x, half = _panel_points(lo, hi, _panel_rule(space.degree)[0])
-    basis = space.cell_basis_values(np.full(len(lo), j), x)
-    cells, total = np.array([j]), None
-    for m in range(len(lo)):
-        k = slice(m, m + 1)  # one interval, so the first chunk of rows is all of it
-        first = (x[k], half[k], basis[k])
-        piece = _intervals(integrand, handle, space, cells, lo[k], hi[k], tol, lambda rows: first)[0]
-        total = piece if total is None else total + piece
-        if float(np.max(np.abs(piece))) < tol:
-            return total
+    if bounds:
+        lo, hi = np.array(bounds).T
+        total = 0.0
+        for piece in _intervals(integrand, handle, space, np.full(len(lo), j), lo, hi, tol):
+            total = total + piece
+            if float(np.max(np.abs(piece))) < tol:
+                return total
     raise QuadratureError(f"singular quadrature did not converge on cell {j}", j)
 
 
@@ -348,21 +331,19 @@ def _integrate_cell(integrand, handle, space, j, a, b, tol) -> np.ndarray:
     """Integral over cell ``j = [a, b]``, which holds declared singular points."""
     # a point listed twice (or as both -0.0 and 0.0) is one cut, not a zero-width piece
     sing = sorted({s for s in handle.singular if a <= s <= b})
-    # split at singular points; each resulting piece has the singularity
-    # at one of its ends (pieces between two singular points are halved)
+    # split at singular points; a piece with a singular end is a tail (s, far)
+    # toward it, and one with two singular ends is halved into two tails
     cuts = [a] + [s for s in sing if a < s < b] + [b]
-    total = 0.0
+    tails = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        lo_sing = lo in sing
-        hi_sing = hi in sing
-        if lo_sing and hi_sing:
+        if lo in sing and hi in sing:
             mid = 0.5 * (lo + hi)
-            total = total + _toward_singularity(integrand, handle, space, j, lo, mid, tol)
-            total = total + _toward_singularity(integrand, handle, space, j, hi, mid, tol)
-        elif lo_sing:
-            total = total + _toward_singularity(integrand, handle, space, j, lo, hi, tol)
+            tails += [(lo, mid), (hi, mid)]
         else:
-            total = total + _toward_singularity(integrand, handle, space, j, hi, lo, tol)
+            tails.append((lo, hi) if lo in sing else (hi, lo))
+    total = 0.0
+    for s, far in tails:
+        total = total + _toward_singularity(integrand, handle, space, j, s, far, tol)
     return total
 
 
@@ -379,14 +360,14 @@ def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None)
     cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
     a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
     if not handle.singular:
-        return _intervals(integrand, handle, space, cells, a, b, tol, _whole_cells(space, cells, a, b))
+        return _intervals(integrand, handle, space, cells, a, b, tol, whole=True)
     s = np.asarray(handle.singular, dtype=float)
     holds = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
     regular, singular = np.flatnonzero(~holds), np.flatnonzero(holds)
     parts = []
     if regular.size:
         rows = cells[regular], a[regular], b[regular]
-        parts.append(_intervals(integrand, handle, space, *rows, tol, _whole_cells(space, *rows)))
+        parts.append(_intervals(integrand, handle, space, *rows, tol, whole=True))
     for i in singular:
         cell = _integrate_cell(integrand, handle, space, int(cells[i]), a[i], b[i], tol)
         parts.append(cell[None])

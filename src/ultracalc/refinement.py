@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .grid import Grid
+from .grid import Grid, is_count
 from .space import Space
 
 POLICIES = ("dyadic-split", "beta-growth", "degree-raise")
@@ -76,10 +76,12 @@ class Ladder:
     def from_base(
         cls, base: Space, levels: int, policy: str, *, factor: float = 2.0
     ) -> "Ladder":
-        if levels < 1:
-            raise InvalidArgumentError("need at least one level")
+        if not is_count(levels, 1):
+            raise InvalidArgumentError(
+                f"need at least one level: levels must be a positive integer, got {levels!r}"
+            )
         stages = [base]
-        for _ in range(levels - 1):
+        for _ in range(int(levels) - 1):
             stages.append(refine(stages[-1], policy, factor=factor))
         return cls(stages)
 

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import InvalidArgumentError
-from .grid import Grid, PointKind, is_index
+from .grid import Grid, PointKind, is_count, is_index
 
 Side = Literal["plus", "minus"]
 
@@ -132,11 +132,7 @@ class Space:
     )
 
     def __init__(self, grid: Grid, degree: int):
-        try:
-            valid = not isinstance(degree, (bool, np.bool_)) and degree == int(degree) >= 0
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
+        if not is_count(degree, 0):
             raise InvalidArgumentError(f"degree must be a nonnegative integer, got {degree!r}")
         degree = int(degree)
         deriv_ref, left, right = _reference(degree)

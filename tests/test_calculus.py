@@ -14,6 +14,7 @@ from ultracalc import (
     ibp_defect,
     ibp_piecewise_defect,
     integrate,
+    integrate_product,
     naive_ibp_defect,
 )
 
@@ -227,6 +228,22 @@ def test_two_point_ibp_rejects_discontinuous_members(space):
 def test_two_point_ibp_empty_range(space):
     u = space.from_polynomial([1.0, 1.0])
     assert ibp_c1_defect(u, u, 3, 3) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [integrate_product, ibp_c1_defect, ibp_piecewise_defect, naive_ibp_defect, ftc_piecewise_defect],
+)
+@pytest.mark.parametrize(
+    "n, m",
+    [(0, 2.0), (0.0, 2), (True, 4), (0, np.True_), (0, "2"), (0, None), (-1, 2), (2, 1), (0, 9)],
+)
+def test_node_range_refuses_what_is_no_node_index_pair(space, fn, n, m):
+    u = space.from_polynomial([1.0, 1.0])
+    members = (u,) if fn is ftc_piecewise_defect else (u, u)
+    with pytest.raises(InvalidArgumentError, match="node indices"):
+        fn(*members, n, m)
+    assert fn(*members, np.int64(0), 2) == fn(*members, 0, 2)
 
 
 def test_piecewise_ibp_for_discontinuous_members(space):

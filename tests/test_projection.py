@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -429,20 +431,24 @@ def _cell_sum(space, fvec):
     return total
 
 
-def _inv_sqrt_kink(x):
-    return abs(x) ** -0.5 + abs(x - 0.3)
+def _inv_sqrt_kink(x, singular=(0.0,)):
+    return sum(abs(x - s) ** -0.5 for s in singular) + abs(x - 0.3)
 
 
-@pytest.mark.parametrize("ell", [5, 15])
+@pytest.mark.parametrize("ell", [5, 15, 4, 16])
 @pytest.mark.parametrize("p", [0, 2, 6])
 def test_singular_tail_matches_per_point_reference(ell, p):
-    # odd cell counts put the singular point inside the middle cell
+    # odd cell counts put 0 inside the middle cell, where 1e-9 converges;
+    # even ones make it a node, which converges at 1e-6, as do 0.3 inside a
+    # cell and (0.1, 0.25): two points of one cell at ell=4, and a point
+    # inside a cell and a node at ell=16
     sp = Space(Grid.uniform(1.0, ell), p)
-    ref = _per_point_reference(
-        sp, lambda j, x, e: _inv_sqrt_kink(x) * e, 1e-9, (0.0,)
-    )
-    u = project(sp, FunctionHandle(_inv_sqrt_kink, (0.0,)), tol=1e-9)
-    assert np.array_equal(u.blocks, ref)
+    cases = [(1e-9, (0.0,))] if ell % 2 else [(1e-6, s) for s in [(0.0,), (0.3,), (0.1, 0.25)]]
+    for tol, singular in cases:
+        f = functools.partial(_inv_sqrt_kink, singular=singular)
+        ref = _per_point_reference(sp, lambda j, x, e: f(x) * e, tol, singular)
+        u = project(sp, FunctionHandle(f, singular), tol=tol)
+        assert np.array_equal(u.blocks, ref)
 
 
 @pytest.mark.parametrize(
@@ -460,8 +466,7 @@ def test_singular_tail_matches_per_point_reference(ell, p):
     ids=["two-points", "node-p0", "node-p2", "node-p6", "inside-p0", "inside-p2", "inside-p6"],
 )
 def test_failing_singular_tail_names_the_reference_cell(ell, p, singular, calls):
-    # the call count pins the tail to evaluating f piece by piece, in order,
-    # and no further than the piece it fails on
+    # the call count pins every piece of the failing tail, and no tail after it
     sp = Space(Grid.uniform(1.0, ell), p)
     seen = []
 
@@ -488,7 +493,47 @@ def test_singular_tail_call_count():
         return _inv_sqrt_kink(x)
 
     project(Space(Grid.uniform(1.0, 5), 2), FunctionHandle(f, (0.0,)), tol=1e-9)
-    assert len(calls) == 1920
+    assert len(calls) == 1950
+
+
+@pytest.mark.parametrize(
+    "ell, tol, singular, engine_calls, fails",
+    [
+        # the regular cells, then the two tails of the middle cell
+        (5, 1e-9, (0.0,), 3, False),
+        # the regular cells, then the first tail, which fails
+        (16, 1e-9, (-0.375,), 2, True),
+        (16, 1e-9, (0.3125,), 2, True),
+        # the regular cells, two tails inside cell 8, one in each of cells 9 and 10
+        (16, 1e-6, (0.1, 0.25), 5, False),
+    ],
+)
+def test_each_singular_tail_is_one_engine_call(monkeypatch, ell, tol, singular, engine_calls, fails):
+    real, seen = projection._intervals, []
+
+    def spying(integrand, handle, space, cells, *args, **kwargs):
+        seen.append(cells)
+        return real(integrand, handle, space, cells, *args, **kwargs)
+
+    monkeypatch.setattr(projection, "_intervals", spying)
+    h = FunctionHandle(lambda x: sum(abs(x - s) ** -0.5 for s in singular), singular)
+    with pytest.raises(QuadratureError) if fails else contextlib.nullcontext():
+        project(Space(Grid.uniform(1.0, ell), 2), h, tol=tol)
+    assert len(seen) == engine_calls
+    # every call after the regular cells holds the pieces of one tail, in one cell
+    assert all(len(set(cells.tolist())) == 1 and len(cells) > 1 for cells in seen[1:])
+
+
+def test_tail_with_no_piece_names_its_cell():
+    # a singular point one ulp inside cell 1: the piece between it and the
+    # cell's left node rounds onto the point at once, so that tail has no piece
+    sp = Space(Grid.uniform(1.0, 5), 2)
+    s = math.nextafter(float(sp.grid.nodes[1]), 1.0)
+    h = FunctionHandle(lambda x: abs(x - s) ** -0.5, (s,))
+    with pytest.raises(QuadratureError) as err:
+        project(sp, h, tol=1e-6)
+    assert err.value.cell_index == 1
+    assert str(err.value) == "singular quadrature did not converge on cell 1"
 
 
 def test_bisection_cap_names_the_failing_cell():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from strategies import grids
-from ultracalc import Grid, InvalidArgumentError, Space, Ultrafunction
+from ultracalc import DistributionSpec, Grid, InvalidArgumentError, Ladder, Space, Ultrafunction
 from ultracalc.space import _legendre, _monomial_moments
 
 
@@ -360,6 +360,29 @@ def test_integral_float_degree_is_accepted():
     sp = Space(Grid.uniform(1.0, 4), 2.0)
     assert sp.degree == 2 and type(sp.degree) is int
     assert sp == Space(Grid.uniform(1.0, 4), np.int64(2))
+
+
+# the other counts follow the degree's rule, each with its own least value
+COUNTS = {
+    "ell": (lambda n: Grid.uniform(1.0, n).n_cells, 0),
+    "order": (lambda n: DistributionSpec(n, math.sin).order, -1),
+    "levels": (lambda n: len(Ladder.from_base(Space(Grid.uniform(1.0, 2), 0), n, "dyadic-split").stages), 0),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, "2", None, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("count", COUNTS)
+def test_malformed_count_is_refused(count, value):
+    make, too_small = COUNTS[count]
+    for n in (value, too_small):
+        with pytest.raises(InvalidArgumentError):
+            make(n)
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_integral_float_count_is_accepted(count):
+    make, _ = COUNTS[count]
+    assert make(2.0) == make(np.int64(2)) == 2
 
 
 def test_norm_does_not_overflow_for_huge_finite_members():
