@@ -44,10 +44,8 @@ from .expr import parse_expression
 from .grid import Grid, PointClass, PointKind
 from .projection import (
     FunctionHandle,
-    compare_ae,
     integral_against_member,
     l2_error,
-    locality_residual,
     project,
     project_via_basis,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "Ultrafunction",
     "UltracalcError",
     "basis_pair",
-    "compare_ae",
     "default_interpolation_points",
     "delta",
     "delta_kind",
@@ -92,7 +89,6 @@ __all__ = [
     "integrate",
     "integrate_product",
     "l2_error",
-    "locality_residual",
     "naive_ibp_defect",
     "pair",
     "pair_exact_member",

@@ -57,6 +57,10 @@ class DerivOperator:
     kind: str
     space: Space
 
+    def __post_init__(self):
+        if self.kind not in ("D", "D2"):
+            raise InvalidArgumentError("kind must be 'D' or 'D2'")
+
     def _apply_blocks(self, blocks: np.ndarray) -> np.ndarray:
         sp = self.space
         out = blocks @ sp._deriv_ref.T
@@ -96,8 +100,6 @@ class DerivOperator:
 
 def derivative_operator(space: Space, kind: str = "D") -> DerivOperator:
     """The generalized (``"D"``) or cellwise (``"D2"``) derivative on ``space``."""
-    if kind not in ("D", "D2"):
-        raise InvalidArgumentError("kind must be 'D' or 'D2'")
     return DerivOperator(kind, space)
 
 

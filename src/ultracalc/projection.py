@@ -70,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as leg
@@ -81,8 +81,6 @@ from .space import Space, Ultrafunction
 
 DEFAULT_TOL = 1e-12
 MAX_SUBDIVISIONS = 60
-#: block norm below which ``compare_ae`` counts a projected difference as zero
-AE_COEFF_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -347,43 +345,41 @@ def _integrate_cell(integrand, handle, space, j, a, b, tol) -> np.ndarray:
     return total
 
 
-def _integrate(space: Space, handle: FunctionHandle, integrand, tol, cells=None) -> np.ndarray:
-    """Integral of ``integrand(cells, fx, basis)`` over each listed cell.
+def _integrate(space: Space, handle: FunctionHandle, integrand, tol) -> np.ndarray:
+    """Integral of ``integrand(cells, fx, basis)`` over each cell.
 
     ``integrand`` maps the ``(m, P)`` values of ``f`` at the points of m
     intervals, one row per cell, and the cells' ``(m, P, n)`` basis values
     there to an ``(m, P, r)`` array; the result has one length-``r`` row per
-    listed cell (default: all cells, in order).
+    cell, in order.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be a positive finite number, got {tol!r}")
-    cells = np.arange(space.n_cells) if cells is None else np.asarray(cells, dtype=int)
-    a, b = space.grid.nodes[cells], space.grid.nodes[cells + 1]
+    a, b = space.grid.nodes[:-1], space.grid.nodes[1:]
     if not handle.singular:
-        return _intervals(integrand, handle, space, cells, a, b, tol, whole=True)
+        return _intervals(integrand, handle, space, np.arange(space.n_cells), a, b, tol, whole=True)
     s = np.asarray(handle.singular, dtype=float)
     holds = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
     regular, singular = np.flatnonzero(~holds), np.flatnonzero(holds)
     parts = []
     if regular.size:
-        rows = cells[regular], a[regular], b[regular]
+        rows = regular, a[regular], b[regular]
         parts.append(_intervals(integrand, handle, space, *rows, tol, whole=True))
-    for i in singular:
-        cell = _integrate_cell(integrand, handle, space, int(cells[i]), a[i], b[i], tol)
-        parts.append(cell[None])
+    for j in singular:
+        parts.append(_integrate_cell(integrand, handle, space, int(j), a[j], b[j], tol)[None])
     integrals = np.concatenate(parts)
     out = np.empty_like(integrals)
     out[np.concatenate([regular, singular])] = integrals
     return out
 
 
-def _load_vectors(space: Space, handle: FunctionHandle, tol, cells=None) -> np.ndarray:
-    """Integrals of ``f`` against each basis polynomial of each listed cell."""
+def _load_vectors(space: Space, handle: FunctionHandle, tol) -> np.ndarray:
+    """Integrals of ``f`` against each basis polynomial of each cell."""
 
     def integrand(cells, fx, basis):
         return fx[..., None] * basis
 
-    return _integrate(space, handle, integrand, tol, cells)
+    return _integrate(space, handle, integrand, tol)
 
 
 def _member_integral(handle: FunctionHandle, u: Ultrafunction, pointwise, tol) -> float:
@@ -451,55 +447,3 @@ def l2_error(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) -> float:
     """L2 norm of ``f - u`` over the support."""
     total = _member_integral(as_handle(f), u, lambda fx, ux: np.square(fx - ux), tol)
     return math.sqrt(max(total, 0.0))
-
-
-def compare_ae(
-    space: Space,
-    f,
-    g,
-    region: tuple[float, float],
-    *,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Whether ``f`` and ``g`` agree almost everywhere on ``region``.
-
-    True iff the projection of ``f - g`` has every block of the cells
-    contained in ``region`` below ``AE_COEFF_TOL`` in norm; pointwise changes on
-    a null set are invisible to the projection.
-    """
-    fh, gh = as_handle(f), as_handle(g)
-    lo, hi = float(region[0]), float(region[1])
-    if lo > hi:
-        raise InvalidArgumentError("region must be an ordered interval")
-    diff = FunctionHandle(
-        lambda x: fh(x) - gh(x), tuple(sorted(set(fh.singular) | set(gh.singular))),
-        lambda x: fh.array(x) - gh.array(x),
-    )
-    d = project(space, diff, tol=tol)
-    nodes = space.grid.nodes
-    inside = (nodes[:-1] >= lo) & (nodes[1:] <= hi)
-    return not np.any(np.linalg.norm(d.blocks[inside], axis=1) > AE_COEFF_TOL)
-
-
-def locality_residual(
-    space: Space, f, cells: Iterable[int], *, tol: float = DEFAULT_TOL
-) -> float:
-    """Deviation of per-cell blocks from projections of per-cell masked data.
-
-    For every listed cell, compares the block of the full projection with
-    the corresponding block of the projection of ``f`` zeroed outside that
-    cell.  The projection never mixes cells, so the residual is zero.
-    """
-    handle = as_handle(f)
-    full = project(space, handle, tol=tol)
-    worst = 0.0
-    for j in cells:
-        a, b = space.grid.cell_bounds(int(j))
-        masked = FunctionHandle(
-            lambda x, _a=a, _b=b: handle(x) if _a < x < _b else 0.0,
-            tuple(s for s in handle.singular if a <= s <= b),
-            lambda x, _a=a, _b=b: np.where((_a < x) & (x < _b), handle.array(x), 0.0),
-        )
-        block = _load_vectors(space, masked, tol, [int(j)])[0]
-        worst = max(worst, float(np.linalg.norm(full.blocks[int(j)] - block)))
-    return worst

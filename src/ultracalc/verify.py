@@ -14,6 +14,7 @@ import numpy as np
 from . import basis as bss
 from . import calculus as calc
 from .errors import InvalidArgumentError
+from .grid import is_count, is_index
 from .projection import FunctionHandle, integral_against_member, l2_error, project
 from .space import Space, Ultrafunction
 
@@ -244,8 +245,10 @@ def run_suites(
     space: Space, suite: str, trials: int, seed: int, tol_factor: float = 1.0
 ) -> list[CheckResult]:
     """Run the requested suite(s); ``suite`` may be a name or ``"all"``."""
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be a positive integer, got {trials}")
+    if not is_count(trials, 1):
+        raise InvalidArgumentError(f"trials must be a positive integer, got {trials!r}")
+    if not (is_index(seed) and seed >= 0):
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 < tol_factor < np.inf:
         raise InvalidArgumentError(f"tol_factor must be positive and finite, got {tol_factor}")
     if suite == "all":
@@ -253,11 +256,11 @@ def run_suites(
     elif suite in _SUITES:
         names = (suite,)
     else:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise InvalidArgumentError(f"unknown suite {suite!r}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     for name in names:
-        for res in _SUITES[name](space, trials, rng):
+        for res in _SUITES[name](space, int(trials), rng):
             if tol_factor != 1.0 and not res.exceed:
                 res = replace(res, tolerance=res.tolerance * tol_factor)
             results.append(res)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ultracalc import (
+    DerivOperator,
     Grid,
     InvalidArgumentError,
     PreconditionError,
@@ -144,8 +145,11 @@ def test_d_decomposes_exactly_into_d2_plus_jumps(space):
 
 
 def test_unknown_kind_rejected(space):
-    with pytest.raises(InvalidArgumentError):
-        derivative_operator(space, "D3")
+    # the public class checks its kind too: "d" would otherwise apply D2
+    for make in (derivative_operator, lambda sp, kind: DerivOperator(kind, sp)):
+        for kind in ("D3", "d"):
+            with pytest.raises(InvalidArgumentError, match="kind must be 'D' or 'D2'"):
+                make(space, kind)
 
 
 # ----------------------------------------------------------------------

@@ -276,13 +276,33 @@ def test_verify_rejects_non_positive_trials(trials):
     assert cp.stdout == ""
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_run_suites_rejects_non_positive_trials(trials):
+@pytest.mark.parametrize(
+    "trials, seed, suite, refused",
+    [
+        pytest.param(0, 0, "all", "trials", id="0"),
+        pytest.param(-3, 0, "all", "trials", id="-3"),
+        pytest.param(True, 0, "d2", "trials", id="trials=True"),
+        pytest.param(2.5, 0, "d2", "trials", id="trials=2.5"),
+        pytest.param(math.nan, 0, "d2", "trials", id="trials=nan"),
+        pytest.param(1, -1, "d2", "seed", id="seed=-1"),
+        pytest.param(1, 0.5, "d2", "seed", id="seed=0.5"),
+        pytest.param(1, True, "d2", "seed", id="seed=True"),
+        pytest.param(1, 0, "d3", "suite 'd3'", id="suite=d3"),
+        pytest.param(2.0, 0, "d2", None, id="trials=2.0"),
+    ],
+)
+def test_run_suites_rejects_non_positive_trials(trials, seed, suite, refused):
     from ultracalc import Grid, InvalidArgumentError, Space
-    from ultracalc.verify import run_suites
+    from ultracalc.verify import format_report, run_suites
 
-    with pytest.raises(InvalidArgumentError, match="trials"):
-        run_suites(Space(Grid.uniform(1.0, 4), 1), "all", trials, 0)
+    space = Space(Grid.uniform(1.0, 4), 1)
+    if refused is None:
+        # an integral float counts, and the report writes it as an integer
+        report = format_report(run_suites(space, suite, trials, seed))
+        assert {line.split(",")[2] for line in report.splitlines()[1:]} == {"2"}
+        return
+    with pytest.raises(InvalidArgumentError, match=refused):
+        run_suites(space, suite, trials, seed)
 
 
 @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])

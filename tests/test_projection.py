@@ -15,10 +15,8 @@ from ultracalc import (
     Space,
     Ultrafunction,
     basis_pair,
-    compare_ae,
     integral_against_member,
     l2_error,
-    locality_residual,
     parse_expression,
     project,
     project_via_basis,
@@ -129,31 +127,6 @@ def test_singular_projection_matches_function_away_from_singularity():
     assert u(0.7) == pytest.approx(0.7**-0.5, rel=1e-3)
 
 
-def test_compare_ae_ignores_null_sets(space):
-    f = lambda x: math.sin(x)
-    g = lambda x: math.sin(x) + (1.0 if x == 0.123456789 else 0.0)
-    assert compare_ae(space, f, g, (-1.0, 1.0))
-
-
-def test_compare_ae_detects_cell_sized_difference(space):
-    f = lambda x: math.sin(x)
-    g = lambda x: math.sin(x) + (1.0 if 0.0 < x < 0.25 else 0.0)
-    assert not compare_ae(space, f, g, (-1.0, 1.0))
-    # but they do agree on the left half
-    assert compare_ae(space, f, g, (-1.0, 0.0))
-
-
-def test_compare_ae_equal_functions(space):
-    f = lambda x: math.cos(2 * x)
-    assert compare_ae(space, f, f, (-1.0, 1.0))
-
-
-def test_locality_residual_is_zero(space):
-    rng = np.random.default_rng(6)
-    f = smooth_fn(rng)
-    assert locality_residual(space, f, range(space.n_cells)) <= 1e-12
-
-
 def _array_only(array):
     """A handle whose per-point form must never be called."""
 
@@ -161,48 +134,6 @@ def _array_only(array):
         raise AssertionError("called point by point")
 
     return FunctionHandle(per_point, array=array)
-
-
-def test_compare_ae_and_locality_use_array_forms(space):
-    f = _array_only(np.sin)
-    g = _array_only(lambda x: np.sin(x) + ((0.0 < x) & (x < 0.25)))
-    assert not compare_ae(space, f, g, (-1.0, 1.0))
-    assert compare_ae(space, f, g, (-1.0, 0.0))
-    assert compare_ae(space, f, f, (-1.0, 1.0))
-    h = _array_only(lambda x: np.exp(-x * x) * np.cos(5.0 * x))
-    assert locality_residual(space, h, range(space.n_cells)) <= 1e-12
-
-
-def test_compare_ae_with_plain_callables(space):
-    calls = {"f": 0, "g": 0}
-
-    def f(x):
-        calls["f"] += 1
-        return math.sin(x)
-
-    def g(x):
-        calls["g"] += 1
-        return math.sin(x) + (1.0 if 0.0 < x < 0.25 else 0.0)
-
-    assert not compare_ae(space, f, g, (-1.0, 1.0))
-    # each is called once at every quadrature point of the difference
-    assert calls["f"] == calls["g"] > 0
-    assert compare_ae(space, f, g, (-1.0, 0.0))
-    assert compare_ae(space, f, f, (-1.0, 1.0))
-
-
-def test_locality_residual_with_plain_callable(space):
-    calls = []
-
-    def h(x):
-        calls.append(x)
-        return math.exp(-x * x) * math.cos(5.0 * x)
-
-    project(space, h)
-    full = len(calls)
-    assert locality_residual(space, h, range(space.n_cells)) <= 1e-12
-    # the full projection once more, then every cell masked to itself
-    assert len(calls) == 3 * full
 
 
 def test_projection_depends_only_on_local_data(space):
@@ -214,6 +145,25 @@ def test_projection_depends_only_on_local_data(space):
     left = [j for j in range(space.n_cells) if space.grid.cell_bounds(j)[1] <= 0.0]
     for j in left:
         assert np.array_equal(pf.blocks[j], pg.blocks[j])
+    # a change on a null set moves no block, and one on (0, 0.25) only cell 4's
+    null_set = project(space, lambda x: f(x) + (1.0 if x == 0.123456789 else 0.0))
+    assert np.array_equal(null_set.blocks, pf.blocks)
+    bump = project(space, lambda x: f(x) + (1.0 if 0.0 < x < 0.25 else 0.0))
+    moved = [j for j in range(space.n_cells) if not np.array_equal(bump.blocks[j], pf.blocks[j])]
+    assert moved == [4]
+    # f zeroed outside cell j projects to the full projection's block j and zeros elsewhere
+    h = _array_only(lambda x: np.sin(3.0 * x))
+    ph = project(space, h)
+    for j in range(space.n_cells):
+        a, b = space.grid.cell_bounds(j)
+        inside = lambda x: (a < x) & (x < b)
+        for full, part in [
+            (pf, project(space, lambda x: f(x) if inside(x) else 0.0)),
+            (ph, project(space, _array_only(lambda x: np.where(inside(x), h.array(x), 0.0)))),
+        ]:
+            expected = np.zeros_like(full.blocks)
+            expected[j] = full.blocks[j]
+            assert np.array_equal(part.blocks, expected)
 
 
 def test_cellwise_polynomial_reproduced_exactly(space):
@@ -562,12 +512,12 @@ def _spy_integrands(monkeypatch, check):
     """Run ``check(cells, fx, basis)`` on every integrand call the engine makes."""
     real = projection._integrate
 
-    def spying(space, handle, integrand, tol, cells=None):
+    def spying(space, handle, integrand, tol):
         def spy(cells, fx, basis):
             check(cells, fx, basis)
             return integrand(cells, fx, basis)
 
-        return real(space, handle, spy, tol, cells)
+        return real(space, handle, spy, tol)
 
     monkeypatch.setattr(projection, "_integrate", spying)
 
@@ -652,8 +602,6 @@ def test_unreachable_tolerance_rejected_before_evaluation(space, tol):
         lambda: project_via_basis(basis_pair(space), f, tol=tol),
         lambda: l2_error(f, v, tol=tol),
         lambda: integral_against_member(f, v, tol=tol),
-        lambda: compare_ae(space, f, f, (-1.0, 1.0), tol=tol),
-        lambda: locality_residual(space, f, [0], tol=tol),
     ]
     for op in ops:
         with pytest.raises(InvalidArgumentError, match="tolerance"):
