@@ -144,7 +144,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     space = _load_space(args)
-    results = run_suites(space, args.suite, args.trials, args.seed, args.tol_factor)
+    results = run_suites(space, args.suite, args.trials, args.seed)
     _write_text(format_report(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
@@ -173,8 +173,8 @@ def _cmd_pair(args) -> int:
         value = pair_distribution(space, t, phi, tol=args.tol)
         _write_text(_fmt(value) + "\n", args.out)
         return 0
-    if "distribution" not in data:
-        raise UltracalcError(
+    if not isinstance(data, dict) or "distribution" not in data:
+        raise InvalidArgumentError(
             "refinement needs the distribution presentation; use a file "
             "written by 'ultracalc embed'"
         )
@@ -312,9 +312,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_space_arg(p: argparse.ArgumentParser, required: bool = False):
-    help_text = "space JSON file" + ("" if required else " (default: beta=1, 16 cells, degree 2)")
-    p.add_argument("--space", required=required, help=help_text)
+def _add_space_arg(p: argparse.ArgumentParser):
+    p.add_argument("--space", help="space JSON file (default: beta=1, 16 cells, degree 2)")
 
 
 def _add_out_arg(p: argparse.ArgumentParser):
@@ -392,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-factor", type=_positive_float, default=1.0, help="tolerance override factor")
     _add_out_arg(p)
     p.set_defaults(handler=_cmd_verify)
 

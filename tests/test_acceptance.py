@@ -161,14 +161,14 @@ def test_integration_by_parts():
     mid = space.n_cells // 2
     step = space.constant(1.0).restrict(float(space.grid.nodes[mid]), 1.0)
     control = naive_ibp_defect(step, step, mid, space.n_cells)
-    ok = worst <= 1e-10 and control > 1e-3
+    ok = worst <= 1e-10 and abs(control - 0.25) <= 1e-10
     _report(
         "integration by parts (200 pairs) with naive-form counterexample",
         ok,
-        f"max scaled defect {worst:.3e} (tol 1e-10), naive defect {control:.3e} (> 1e-3)",
+        f"max scaled defect {worst:.3e} (tol 1e-10), naive defect {control!r} (1/4 within 1e-10)",
     )
     assert worst <= 1e-10
-    assert control > 1e-3
+    assert abs(control - 0.25) <= 1e-10
 
 
 def test_fundamental_theorem_and_derivative_examples():
@@ -371,6 +371,7 @@ HIGH_DEGREE_GRIDS = {
     "tagged": Grid.with_tags(1.0, [-0.61, -0.3, 0.05, 0.2, 0.77], 0.15),
     # cells halving toward 0: widths 1/2 .. 1/64 on both sides
     "graded": Grid(np.concatenate([-_DYADIC, [0.0], _DYADIC[::-1]])),
+    "single-cell": Grid.uniform(1.0, 1),
 }
 
 
@@ -392,3 +393,13 @@ def test_every_verify_check_passes_up_to_degree_14(name, degree):
 @pytest.mark.parametrize("degree", range(15, 21))
 def test_every_verify_check_passes_from_degree_15_to_20(name, degree):
     _every_verify_check_passes(name, degree)
+
+
+@pytest.mark.parametrize("seed", [5, 19, 20])
+def test_delta_suite_passes_on_65536_cells(seed):
+    # a delta's squared norm reaches (p + 1)^2 / h, about 1.6e6 here, and
+    # norm-squared must still hold to 1e-10
+    results = run_suites(Space(Grid.uniform(1.0, 65536), 6), "delta", 20, seed)
+    failed = [f"{r.check} {r.max_defect!r} > {r.tolerance!r}" for r in results if not r.passed]
+    _report("delta suite on 65536 cells", not failed, f"p=6 seed={seed}: {failed}")
+    assert not failed

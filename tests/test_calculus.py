@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultracalc import (
     DerivOperator,
@@ -18,6 +20,8 @@ from ultracalc import (
     integrate_product,
     naive_ibp_defect,
 )
+
+from strategies import grids
 
 
 @pytest.fixture
@@ -301,14 +305,28 @@ def test_piecewise_ftc_constant(space):
     assert ftc_piecewise_defect(space.constant(5.0), 0, space.n_cells) <= 1e-12
 
 
-def test_naive_two_point_formula_fails(space):
-    # jump at the lower limit makes the node-average boundary product wrong
-    # by a quarter of the jump product
-    n = space.n_cells // 2
-    step = space.constant(1.0).restrict(float(space.grid.nodes[n]), 1.0)
-    defect = naive_ibp_defect(step, step, n, space.n_cells)
-    assert defect > 1e-3
-    assert defect == pytest.approx(0.25, abs=1e-10)
+@settings(deadline=None, max_examples=60)
+@given(grid=grids(), degree=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+def test_naive_two_point_formula_fails(grid, degree, seed):
+    # node-average boundary products miss by a quarter of the change in the
+    # jump products J_j = u.jump(j) * v.jump(j) between the limits (J = 0 at
+    # the two ends); a step that jumps by 1 at the lower limit misses by 1/4
+    space = Space(grid, degree)
+    ell = space.n_cells
+    mid = ell // 2
+    step = space.constant(1.0).restrict(float(grid.nodes[mid]), grid.beta)
+    assert abs(naive_ibp_defect(step, step, mid, ell) - (0.25 if mid else 0.0)) <= 1e-14
+    rng = np.random.default_rng(seed)
+    u, v = random_member(space, rng), random_member(space, rng)
+    n, m = sorted(rng.integers(0, ell + 1, size=2).tolist())
+    jn, jm = (u.jump(j) * v.jump(j) if 0 < j < ell else 0.0 for j in (n, m))
+    d = derivative_operator(space, "D")
+    # rounding scale: the two pairings' term magnitudes and the boundary products
+    edges_u, edges_v = np.abs(space.edges(u.blocks)), np.abs(space.edges(v.blocks))
+    scale = (1.0 + np.sum(np.abs(d(u).blocks * v.blocks)) + np.sum(np.abs(u.blocks * d(v).blocks))
+             + edges_u.max() * edges_v.max())
+    law = 0.25 * abs(jm - jn)
+    assert abs(naive_ibp_defect(u, v, n, m) - law) <= 64 * np.finfo(float).eps * scale
 
 
 def test_naive_formula_fine_without_endpoint_jumps(space):

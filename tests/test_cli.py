@@ -305,21 +305,13 @@ def test_run_suites_rejects_non_positive_trials(trials, seed, suite, refused):
         run_suites(space, suite, trials, seed)
 
 
-@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf", "2", "1e-20"])
 def test_verify_rejects_unusable_tol_factor(factor):
+    # every tolerance is fixed: the former --tol-factor is an unknown option
     cp = run_cli("verify", "--suite", "d2", "--trials", "1", "--seed", "1", "--tol-factor", factor)
     assert cp.returncode == 2
-    assert "--tol-factor" in cp.stderr
+    assert "unrecognized arguments: --tol-factor" in cp.stderr
     assert cp.stdout == ""
-
-
-@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
-def test_run_suites_rejects_unusable_tol_factor(factor):
-    from ultracalc import Grid, InvalidArgumentError, Space
-    from ultracalc.verify import run_suites
-
-    with pytest.raises(InvalidArgumentError, match="tol_factor"):
-        run_suites(Space(Grid.uniform(1.0, 4), 1), "all", 1, 0, factor)
 
 
 def test_verify_default_space():
@@ -327,23 +319,17 @@ def test_verify_default_space():
     assert cp.returncode == 0, cp.stderr
 
 
-def test_verify_exit_one_on_defect_above_tolerance(space_file):
-    # shrinking every tolerance below rounding level forces FAIL rows
-    cp = run_cli(
-        "verify",
-        "--space",
-        str(space_file),
-        "--suite",
-        "ftc",
-        "--trials",
-        "5",
-        "--seed",
-        "1",
-        "--tol-factor",
-        "1e-20",
+def test_verify_exit_one_on_defect_above_tolerance(space_file, capsys, monkeypatch):
+    from ultracalc import verify
+
+    failing = verify.CheckResult("ftc", "fundamental-theorem", 5, 2e-10, 1e-10)
+    monkeypatch.setitem(verify._SUITES, "ftc", lambda space, trials, rng: [failing])
+    assert cli.main(["verify", "--space", str(space_file), "--suite", "ftc",
+                     "--trials", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "suite,check,trials,max_defect,tolerance,status\n"
+        "ftc,fundamental-theorem,5,2e-10,1e-10,FAIL\n"
     )
-    assert cp.returncode == 1
-    assert "FAIL" in cp.stdout
 
 
 def test_delta_sided_requires_node(space_file):
@@ -793,6 +779,17 @@ def test_space_file_with_non_number_nodes_is_refused(tmp_path, capsys, grid):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed grid data: expected a JSON number" in captured.err
+
+
+@pytest.mark.parametrize("content", ["5", "null", '"distribution"'], ids=["number", "null", "string"])
+def test_pair_refinement_refuses_non_object_file(tmp_path, capsys, content):
+    dist = tmp_path / "t.json"
+    dist.write_text(content)
+    assert cli.main(["pair", "--dist", str(dist), "--test", "(1-x^2)^4", "--refine", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs the distribution presentation" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
