@@ -14,7 +14,8 @@ so are those of the basis-pair members below.
 A full set of ``p + 1`` interior points per cell yields a basis of delta
 members.  Its dual basis consists of cardinal (Lagrange-type) interpolants:
 ``cardinal_a(b) == (a == b)`` on the point set, so members are recovered from
-their point values by a plain weighted sum.
+their point values by a plain weighted sum.  The default points (each cell's
+Gauss abscissae) are refused on cells too narrow for the nodes' snap windows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import IndependenceError, InvalidArgumentError
-from .grid import SNAP_REL, PointKind, is_index
+from .grid import PointKind, is_index
 from .space import Side, Space, Ultrafunction, _CellLocal
 
 
@@ -81,24 +82,16 @@ def _node_delta(space: Space, weight: float, terms) -> Ultrafunction:
 
 
 def default_interpolation_points(space: Space) -> np.ndarray:
-    """Per-cell Gauss abscissae: ``p + 1`` interior points in every cell.
+    """Per-cell Gauss abscissae: ``p + 1`` points in every cell, cell by cell.
 
-    Guaranteed unisolvent for the cell polynomials and well conditioned.  In
-    a cell only a few snap windows wide, where a point would fall inside the
-    window of an end node, the abscissae of that cell are mapped instead into
-    the part of the cell outside both end windows.
+    Unisolvent for the cell polynomials and well conditioned.  On a cell
+    narrower than about ``2 / (1 - t_max)`` snap windows (``t_max`` the
+    largest Gauss node) one falls in a node's window and counts as the node.
     """
     t, _ = leggauss(space.block_size)
     nodes = space.grid.nodes
     a, b = nodes[:-1, None], nodes[1:, None]
-    pts = 0.5 * (a + b) + 0.5 * (b - a) * t
-    wa, wb = SNAP_REL * np.maximum(1.0, np.abs(a)), SNAP_REL * np.maximum(1.0, np.abs(b))
-    near = ((pts - a <= wa) | (b - pts <= wb)).any(axis=1)
-    if near.any():
-        lo = np.nextafter(a[near] + wa[near], np.inf)
-        hi = np.nextafter(b[near] - wb[near], -np.inf)
-        pts[near] = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-    return pts.ravel()
+    return (0.5 * (a + b) + 0.5 * (b - a) * t).ravel()
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,8 @@ def basis_pair(space: Space, points=None) -> BasisPair:
     """Build the delta basis at ``points`` and solve for its dual basis.
 
     ``points`` must hold exactly ``p + 1`` distinct points interior to every
-    cell (defaults to the per-cell Gauss abscissae).  The duality systems are
+    cell; no conditioning threshold applies.  The default, the per-cell Gauss
+    abscissae, is refused on a cell too narrow for them.  The duality systems are
     block-diagonal: all points are classified at once, grouped by cell, and
     the ``n_cells`` systems of size ``p + 1`` are solved as one stack.
     """
@@ -212,6 +206,8 @@ def basis_pair(space: Space, points=None) -> BasisPair:
     if off.size:
         raise IndependenceError(
             f"point {pts[off[0]]!r} is not interior to a cell; nodes are not allowed"
+            if points is not None
+            else f"cell {off[0] // n} is too narrow for the default points; pass points explicitly"
         )
     counts = np.bincount(index, minlength=ell)
     wrong = np.flatnonzero(counts != n)

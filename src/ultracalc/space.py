@@ -261,11 +261,11 @@ class Space:
     def from_polynomial(self, poly_coeffs) -> "Ultrafunction":
         """Exact member equal to ``sum_m a_m x**m`` on the whole support.
 
-        The polynomial degree must not exceed the cell degree.  On each cell
-        one vectorized Horner pass composes ``q(t) = sum_m a_m (mid + h t / 2)**m``,
-        and the block is ``sqrt(h / 2)`` times ``q``'s coefficients against
-        :func:`_monomial_moments`.  The coefficients above the polynomial's
-        degree are exactly zero.
+        The polynomial degree must not exceed the cell degree.  One Horner pass
+        over a ``(d, cells)`` array composes ``q(t) = sum_m a_m (mid + h t / 2)**m``
+        on every cell; the block is ``sqrt(h / 2)`` times ``q``'s C-contiguous
+        transpose (a view can round differently) against :func:`_monomial_moments`.
+        The coefficients above the polynomial's degree are exactly zero.
         """
         a = np.asarray(poly_coeffs, dtype=float)
         if a.ndim != 1 or a.size == 0:
@@ -275,14 +275,14 @@ class Space:
                 f"polynomial degree {a.size - 1} exceeds cell degree {self.degree}"
             )
         ell, d = self.n_cells, a.size
-        mid, half = self._mids[:, None], 0.5 * self._widths[:, None]
-        q = np.zeros((ell, d))  # q[j, i] multiplies t**i on cell j
-        q[:, :1] = a[-1]
+        mid, half = self._mids, 0.5 * self._widths
+        q = np.zeros((d, ell))  # q[i, j] multiplies t**i on cell j
+        q[:1] = a[-1]
         for coeff in a[-2::-1]:
-            q[:, 1:] = mid * q[:, 1:] + half * q[:, :-1]
-            q[:, :1] = mid * q[:, :1] + coeff
+            q[1:] = mid * q[1:] + half * q[:-1]
+            q[:1] = mid * q[:1] + coeff
         blocks = np.zeros((ell, self.block_size))
-        blocks[:, :d] = np.sqrt(half) * (q @ _monomial_moments(d))
+        blocks[:, :d] = np.sqrt(half)[:, None] * (np.ascontiguousarray(q.T) @ _monomial_moments(d))
         return Ultrafunction(self, blocks)
 
     def constant(self, value: float) -> "Ultrafunction":

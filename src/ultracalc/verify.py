@@ -139,19 +139,22 @@ def _suite_projection(space, trials, rng):
 
 
 def _suite_ibp(space, trials, rng):
+    d = calc.derivative_operator(space, "D")
     full = piecewise = c1 = 0.0
     for _ in range(trials):
         u = random_member(space, rng)
         v = random_member(space, rng)
-        scale = 1.0 + u.norm() * v.norm()
+        scale = 1.0 + d(u).norm() * v.norm() + u.norm() * d(v).norm()  # Cauchy-Schwarz: |Du| ~ 1/h
         full = max(full, calc.ibp_defect(u, v) / scale)
         n = int(rng.integers(0, space.n_cells))
         m = int(rng.integers(n, space.n_cells + 1))
         piecewise = max(piecewise, calc.ibp_piecewise_defect(u, v, n, m) / scale)
     if space.degree >= 1:
+        # each term below 1 on the support, so rounding jumps stay under CONTINUITY_TOL
+        damp = max(1.0, space.grid.beta) ** -np.arange(space.degree + 1)
         for _ in range(max(1, trials // 4)):
-            cu = space.from_polynomial(rng.uniform(-1, 1, size=space.degree + 1))
-            cv = space.from_polynomial(rng.uniform(-1, 1, size=space.degree + 1))
+            cu = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
+            cv = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
             n = int(rng.integers(0, space.n_cells))
             m = int(rng.integers(n, space.n_cells + 1))
             scale = 1.0 + cu.norm() * cv.norm()

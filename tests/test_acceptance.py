@@ -372,6 +372,9 @@ HIGH_DEGREE_GRIDS = {
     # cells halving toward 0: widths 1/2 .. 1/64 on both sides
     "graded": Grid(np.concatenate([-_DYADIC, [0.0], _DYADIC[::-1]])),
     "single-cell": Grid.uniform(1.0, 1),
+    # D grows like 1 / h, and from_polynomial terms like beta**p
+    "narrow": Grid.uniform(1e-6, 16),
+    "wide": Grid.uniform(3.0, 7),
 }
 
 

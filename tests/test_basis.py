@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ultracalc import (
     DeltaKind,
@@ -18,6 +20,7 @@ from ultracalc import (
     parse_expression,
     project_via_basis,
 )
+from ultracalc.grid import SNAP_REL
 from ultracalc.verify import run_suites
 
 
@@ -367,12 +370,51 @@ def test_duality_on_non_uniform_grid():
     assert np.max(np.abs(pair.duality_matrix() - np.eye(sp.block_size))) <= 1e-10
 
 
+def mapped_gauss_abscissae(grid, degree):
+    t, _ = np.polynomial.legendre.leggauss(degree + 1)
+    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    return (mids[:, None] + 0.5 * grid.widths()[:, None] * t).ravel()
+
+
 @pytest.mark.parametrize("k", [2.5, 10.0, 100.0])
 @pytest.mark.parametrize("degree", range(7))
 def test_default_points_of_a_cell_a_few_snap_windows_wide_stay_interior(k, degree):
-    # the cell [0, k * 2**-40] is k snap windows wide; the grid accepts it
+    # the cell [0, k * 2**-40] is k snap windows wide; the grid accepts it.
+    # Where a Gauss abscissa of that cell falls in a node's snap window the
+    # default pair is refused by name; elsewhere the points are the plain
+    # abscissae and the pair is sound
     space = Space(Grid([-1.0, 0.0, k * 2.0**-40, 1.0]), degree)
+    if (k == 2.5 and degree >= 1) or (k == 10.0 and degree >= 3):
+        with pytest.raises(IndependenceError, match="^cell 1 is too narrow for the default points"):
+            basis_pair(space)
+        return
     pair = basis_pair(space)
+    assert np.max(np.abs(pair.duality_matrix() - np.eye(degree + 1))) <= 1e-10
+    want = mapped_gauss_abscissae(space.grid, degree)
+    np.testing.assert_array_equal(pair.points.view(np.int64), want.view(np.int64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    spread=st.floats(0.0, 1.0, exclude_min=True),
+    center=st.sampled_from([0.0, -1e6, 1e6]),
+    side=st.sampled_from([-1.0, 1.0]),
+    degree=st.integers(0, 20),
+)
+def test_default_pair_on_a_near_minimal_cell_is_sound_or_refused_by_name(spread, center, side, degree):
+    # cell 1 spans 2 to 1000 snap windows, log-uniformly, beside 0 or |x| = 1e6
+    windows = 2.0 * 500.0**spread
+    w = SNAP_REL * max(1.0, abs(center))
+    a, b = sorted((center, center + side * windows * w))
+    try:
+        grid = Grid([-2e6, a, b, 2e6])
+    except InvalidArgumentError:  # beside 1e6 the far node's window is wider than w
+        reject()
+    try:
+        pair = basis_pair(Space(grid, degree))
+    except IndependenceError as exc:
+        assert str(exc).startswith("cell 1 is too narrow for the default points"), exc
+        return
     assert np.max(np.abs(pair.duality_matrix() - np.eye(degree + 1))) <= 1e-10
 
 
@@ -382,8 +424,6 @@ def test_default_points_of_a_cell_a_few_snap_windows_wide_stay_interior(k, degre
 )
 @pytest.mark.parametrize("degree", [0, 2, 6, 12])
 def test_default_points_are_the_mapped_gauss_abscissae_on_ordinary_grids(grid, degree):
-    t, _ = np.polynomial.legendre.leggauss(degree + 1)
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    want = (mids[:, None] + 0.5 * grid.widths()[:, None] * t).ravel()
+    want = mapped_gauss_abscissae(grid, degree)
     got = default_interpolation_points(Space(grid, degree))
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

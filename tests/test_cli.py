@@ -197,6 +197,17 @@ def test_basis_cell_condition_for_shuffled_points_file(space_file, tmp_path):
     np.testing.assert_allclose(cond, expected, rtol=1e-12)
 
 
+def test_basis_on_a_cell_too_narrow_for_the_default_points_is_domain_error(tmp_path, capsys):
+    # cell 1 is 2.5 snap windows wide: a Gauss point at p = 2 lies in a window
+    space = tmp_path / "narrow.json"
+    space.write_text(json.dumps({"grid": {"beta": 1.0, "nodes": [-1.0, 0.0, 2.5 * 2.0**-40, 1.0]}, "degree": 2}))
+    assert cli.main(["basis", "--space", str(space)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell 1 is too narrow for the default points; pass points explicitly" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_derive_matches_delta_difference(space_file, tmp_path):
     member = tmp_path / "chi.json"
     # indicator of [-0.5, 0.5] as projection of an expression with plateau 1

@@ -201,6 +201,38 @@ def test_from_polynomial_matches_per_cell_reference():
         assert np.all(np.abs(got - _from_polynomial_reference(sp, coeffs)) <= bound)
 
 
+def _column_major_from_polynomial(space, coeffs):
+    """The Horner pass on a ``(cells, d)`` array, whose column slices are strided."""
+    a = np.asarray(coeffs, dtype=float)
+    ell, d = space.n_cells, a.size
+    mid, half = space._mids[:, None], 0.5 * space._widths[:, None]
+    q = np.zeros((ell, d))
+    q[:, :1] = a[-1]
+    for coeff in a[-2::-1]:
+        q[:, 1:] = mid * q[:, 1:] + half * q[:, :-1]
+        q[:, :1] = mid * q[:, :1] + coeff
+    blocks = np.zeros((ell, space.block_size))
+    blocks[:, :d] = np.sqrt(half) * (q @ _monomial_moments(d))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.uniform(1.0, 1), Grid.uniform(1.0, 3), Grid.uniform(1.0, 16), Grid.uniform(3.0, 1024),
+     Grid.with_tags(3.0, [-2.9, 0.01, 1e-9, 2.5], 0.4), Grid([-1e6, -1.0, 1e-3, 7.0, 1e6])],
+)
+def test_from_polynomial_keeps_the_bits_of_the_column_major_pass(grid):
+    # the row-major pass multiplies a C-contiguous copy of q.T: with the
+    # transposed view itself, ell = 3, p = 20, d = 20 gave other bits
+    rng = np.random.default_rng(grid.n_cells)
+    for degree in range(21):
+        sp = Space(grid, degree)
+        for d in range(1, degree + 2):
+            coeffs = rng.uniform(-1.0, 1.0, size=d)
+            want = _column_major_from_polynomial(sp, coeffs)
+            assert np.array_equal(bits(sp.from_polynomial(coeffs).blocks), bits(want)), (degree, d)
+
+
 def test_from_polynomial_rejects_too_high_degree(space):
     with pytest.raises(InvalidArgumentError):
         space.from_polynomial([0.0, 0.0, 0.0, 1.0])
