@@ -15,10 +15,11 @@ Two linear derivative operators act on the space:
   piecewise-constant member, but satisfies the piecewise identities whose
   boundary terms are one-sided sums over the traversed cells.
 
-The naive two-point integration-by-parts formula with node-average boundary
-values is *false* for the generalized derivative: its defect equals a quarter
-of the difference of jump products at the two endpoints.
-``naive_ibp_defect`` exposes that failure.
+Integration by parts over cells ``n .. m - 1`` with node-value boundary
+products is stated once, in ``naive_ibp_defect``: exact up to rounding over
+the full support (``ibp_defect``) and at end nodes where both members are
+continuous (``ibp_c1_defect``); in general it misses by a quarter of the
+difference of the endpoint jump products.
 
 Cellwise derivatives drop the polynomial degree by one, so they already lie
 in the space and need no projection solve.  ``D`` is the strong-form
@@ -154,20 +155,19 @@ def _ibp_residual(kind: str, u: Ultrafunction, v: Ultrafunction, n: int, m: int,
 def ibp_defect(u: Ultrafunction, v: Ultrafunction) -> float:
     """Residual of full-support integration by parts for the generalized derivative.
 
-    Returns ``|pairing(Du, v) + pairing(u, Dv) - (u v at beta - u v at -beta)|``
-    with one-sided boundary values; zero up to rounding for every pair.
+    ``naive_ibp_defect`` on ``0 .. ell``, whose node values are one-sided;
+    zero up to rounding for every pair.
     """
-    ell = u.space.n_cells
-    boundary = u.node_value(ell) * v.node_value(ell) - u.node_value(0) * v.node_value(0)
-    return _ibp_residual("D", u, v, 0, ell, boundary)
+    return naive_ibp_defect(u, v, 0, u.space.n_cells)
 
 
 def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
     """Residual of two-point integration by parts for members continuous on the range.
 
     Requires both members to have jumps below ``CONTINUITY_TOL`` at every
-    interior node with index in ``[n, m]``; otherwise the identity is false
-    and :class:`~ultracalc.errors.PreconditionError` is raised.
+    interior node with index in ``[n, m]``, where ``naive_ibp_defect`` holds
+    up to rounding; otherwise :class:`~ultracalc.errors.PreconditionError`
+    is raised.
     """
     sp = u.space
     _check_node_range(sp, n, m)
@@ -181,7 +181,7 @@ def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
         )
     if n == m:
         return 0.0
-    return _ibp_residual("D", u, v, n, m, float(ru[m - 1] * rv[m - 1] - lu[n] * lv[n]))
+    return naive_ibp_defect(u, v, n, m)
 
 
 def ibp_piecewise_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
@@ -209,12 +209,11 @@ def ftc_piecewise_defect(u: Ultrafunction, n: int, m: int) -> float:
 
 
 def naive_ibp_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
-    """Residual of the *invalid* two-point formula with node-average values.
+    """Residual of two-point integration by parts with node values over cells ``n .. m - 1``.
 
-    For the generalized derivative, restricting integration by parts to a
-    subrange while keeping node-average boundary products fails whenever
-    both members jump at an endpoint node; the defect equals one quarter of
-    the difference of the endpoint jump products.
+    Zero up to rounding over the whole support, whose end node values are
+    one-sided, and at end nodes where both members are continuous; in general
+    the defect is a quarter of the difference of the endpoint jump products.
     """
     _check_node_range(u.space, n, m)
     boundary = u.node_value(m) * v.node_value(m) - u.node_value(n) * v.node_value(n)

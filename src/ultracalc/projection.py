@@ -76,8 +76,7 @@ import numpy as np
 from numpy.polynomial import legendre as leg
 
 from .errors import InvalidArgumentError, QuadratureError
-from .grid import Grid
-from .space import Space, Ultrafunction
+from .space import Space, Ultrafunction, _legendre
 
 DEFAULT_TOL = 1e-12
 MAX_SUBDIVISIONS = 60
@@ -181,7 +180,7 @@ def _panel_rule(degree: int):
     at ``t``.  A whole cell's panel has basis values ``scale * table``.
     """
     t, w = _gauss_kronrod(max(7, degree + 1))
-    table = Space(Grid([-1.0, 1.0]), degree).cell_basis_values([0], t[None])[0]
+    table = np.stack(_legendre(t, degree + 1), axis=-1)
     table.flags.writeable = False
     return t, w, table
 

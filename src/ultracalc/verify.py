@@ -149,25 +149,25 @@ def _suite_ibp(space, trials, rng):
         n = int(rng.integers(0, space.n_cells))
         m = int(rng.integers(n, space.n_cells + 1))
         piecewise = max(piecewise, calc.ibp_piecewise_defect(u, v, n, m) / scale)
-    if space.degree >= 1:
-        # each term below 1 on the support, so rounding jumps stay under CONTINUITY_TOL
-        damp = max(1.0, space.grid.beta) ** -np.arange(space.degree + 1)
-        for _ in range(max(1, trials // 4)):
-            cu = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
-            cv = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
-            n = int(rng.integers(0, space.n_cells))
-            m = int(rng.integers(n, space.n_cells + 1))
-            scale = 1.0 + cu.norm() * cv.norm()
-            c1 = max(c1, calc.ibp_c1_defect(cu, cv, n, m) / scale)
+    pairs = max(1, trials // 4) if space.degree >= 1 else 0
+    # each term below 1 on the support, so rounding jumps stay under CONTINUITY_TOL
+    damp = max(1.0, space.grid.beta) ** -np.arange(space.degree + 1)
+    for _ in range(pairs):
+        cu = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
+        cv = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
+        n = int(rng.integers(0, space.n_cells))
+        m = int(rng.integers(n, space.n_cells + 1))
+        scale = 1.0 + cu.norm() * cv.norm()
+        c1 = max(c1, calc.ibp_c1_defect(cu, cv, n, m) / scale)
     # deterministic counterexample: the step jumps by 1 at the lower limit only, so the
-    # naive two-point formula misses by exactly 1/4 (by 0 on one cell: no interior node)
+    # two-point formula misses by exactly 1/4 (by 0 on one cell: no interior node)
     mid = space.n_cells // 2
-    step = space.constant(1.0).restrict(space.grid.nodes[mid], space.grid.beta)
+    step = space.indicator(space.grid.nodes[mid], space.grid.beta)
     naive = abs(calc.naive_ibp_defect(step, step, mid, space.n_cells) - (0.25 if mid else 0.0))
     return [
         CheckResult("ibp", "full-support", trials, full, 1e-10),
         CheckResult("ibp", "piecewise-cellwise", trials, piecewise, 1e-10),
-        CheckResult("ibp", "two-point-continuous", trials, c1, 1e-10),
+        CheckResult("ibp", "two-point-continuous", pairs, c1, 1e-10),
         CheckResult("ibp", "naive-counterexample", 1, naive, 1e-10),
     ]
 
@@ -187,7 +187,7 @@ def _suite_ftc(space, trials, rng):
         piecewise = max(
             piecewise, calc.ftc_piecewise_defect(u, n, m) / (1.0 + u.norm())
         )
-    examples = _derivative_examples_defect(space)
+    examples = _derivative_examples_defect(space, d)
     return [
         CheckResult("ftc", "fundamental-theorem", trials, ftc, 1e-10),
         CheckResult("ftc", "piecewise-cellwise", trials, piecewise, 1e-10),
@@ -195,9 +195,8 @@ def _suite_ftc(space, trials, rng):
     ]
 
 
-def _derivative_examples_defect(space: Space) -> float:
-    """Coefficientwise defects of the closed-form derivative examples."""
-    d = calc.derivative_operator(space, "D")
+def _derivative_examples_defect(space: Space, d: calc.DerivOperator) -> float:
+    """Coefficientwise defects of D 1 = 0, D x = 1 and D chi[a, b] = delta_a - delta_b."""
     grid = space.grid
     worst = float(np.max(np.abs(d.apply(space.constant(1.0)).blocks)))
     if space.degree >= 1:
@@ -205,20 +204,17 @@ def _derivative_examples_defect(space: Space) -> float:
         worst = max(
             worst, float(np.max(np.abs(dx.blocks - space.constant(1.0).blocks)))
         )
-    if grid.n_cells >= 3:
-        a = float(grid.nodes[1])
-        b = float(grid.nodes[grid.n_cells - 1])
-        expected = bss.delta(space, a) - bss.delta(space, b)
-        got = d.apply(space.indicator(a, b))
-        worst = max(worst, float(np.max(np.abs(got.blocks - expected.blocks))))
-        left = d.apply(space.indicator(-grid.beta, b))
-        worst = max(
-            worst, float(np.max(np.abs(left.blocks + bss.delta(space, b).blocks)))
-        )
-        right = d.apply(space.indicator(a, grid.beta))
-        worst = max(
-            worst, float(np.max(np.abs(right.blocks - bss.delta(space, a).blocks)))
-        )
+    ell = grid.n_cells
+    if ell >= 3:
+        for n, m in ((1, ell - 1), (0, ell - 1), (1, ell)):  # a delta only at an interior node
+            a, b = float(grid.nodes[n]), float(grid.nodes[m])
+            expected = np.zeros((ell, space.block_size))
+            if n > 0:
+                expected += bss.delta(space, a).blocks
+            if m < ell:
+                expected -= bss.delta(space, b).blocks
+            got = d.apply(space.indicator(a, b))
+            worst = max(worst, float(np.max(np.abs(got.blocks - expected))))
     return worst
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from ultracalc import (
 )
 
 from strategies import grids
+from test_space import exact_legendre
 
 
 @pytest.fixture
@@ -238,6 +241,29 @@ def test_two_point_ibp_empty_range(space):
     assert ibp_c1_defect(u, u, 3, 3) == 0.0
 
 
+@settings(deadline=None, max_examples=60)
+@given(grid=grids(), degree=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_two_point_ibp_is_the_one_sided_formula_to_rounding(grid, degree, seed, data):
+    # for continuous members the node values differ from the one-sided edge
+    # products, which closed the formula before, by rounding only
+    space = Space(grid, degree)
+    ell = space.n_cells
+    n = data.draw(st.integers(0, ell))
+    m = data.draw(st.integers(n, ell))
+    rng = np.random.default_rng(seed)
+    damp = max(1.0, grid.beta) ** -np.arange(degree + 1)  # each term below 1 on the support
+    u = space.from_polynomial(damp * rng.uniform(-1, 1, size=degree + 1))
+    v = space.from_polynomial(damp * rng.uniform(-1, 1, size=degree + 1))
+    one_sided = 0.0
+    if n < m:
+        d = derivative_operator(space, "D")
+        (lu, ru), (lv, rv) = space.edges(u.blocks), space.edges(v.blocks)
+        boundary = float(ru[m - 1] * rv[m - 1] - lu[n] * lv[n])
+        one_sided = abs(integrate_product(d(u), v, n, m) + integrate_product(u, d(v), n, m) - boundary)
+    bound = 64 * np.finfo(float).eps * (1.0 + u.norm() * v.norm())
+    assert abs(ibp_c1_defect(u, v, n, m) - one_sided) <= bound
+
+
 @pytest.mark.parametrize(
     "fn",
     [integrate_product, ibp_c1_defect, ibp_piecewise_defect, naive_ibp_defect, ftc_piecewise_defect],
@@ -333,6 +359,131 @@ def test_naive_formula_fine_without_endpoint_jumps(space):
     u = space.from_polynomial([0.0, 1.0])
     v = space.from_polynomial([1.0, 0.5])
     assert naive_ibp_defect(u, v, 1, 7) <= 1e-11
+
+
+# ----------------------------------------------------------------------
+# exact rational reference for two-point integration by parts
+# ----------------------------------------------------------------------
+#
+# A member is ``sum_k a[j][k] P_k(t)`` on cell j, t = (2x - x_j - x_{j+1}) / h_j.
+# In these unnormalized Legendre coordinates every object of D is rational on
+# float nodes: the Gram block is diag(h / (2k + 1)), the edge values are
+# (+-1)^k, the cellwise derivative is an integer matrix times 2 / h, and the
+# node-average delta is the inverse Gram block times half the edge values.
+
+
+class ExactD:
+    """``D`` on the grid ``nodes`` at degree ``p``, in exact arithmetic."""
+
+    def __init__(self, nodes, p: int):
+        n = p + 1
+        self.n = n
+        self.h = [Fraction(b) - Fraction(a) for a, b in zip(nodes[:-1], nodes[1:])]
+        self.lo, self.hi = exact_legendre(-1.0, n)[0], exact_legendre(1.0, n)[0]
+        # P_k' = sum_l r[l][k] P_l with (2l + 1) / 2 times [P_k P_l] over [-1, 1]:
+        # the integral of P_k P_l' vanishes for l < k, and P_k' has degree k - 1
+        self.r = [[(2 * l + 1) * (self.hi[k] * self.hi[l] - self.lo[k] * self.lo[l]) / 2
+                   if l < k else Fraction(0) for k in range(n)] for l in range(n)]
+
+    def edges(self, a):
+        return ([sum(c * e for c, e in zip(blk, self.lo)) for blk in a],
+                [sum(c * e for c, e in zip(blk, self.hi)) for blk in a])
+
+    def jump(self, a, j: int) -> Fraction:
+        """Zero at the two ends, where the value across the edge is the cell's own."""
+        left, right = self.edges(a)
+        return left[j] - right[j - 1] if 0 < j < len(a) else Fraction(0)
+
+    def node_value(self, a, j: int) -> Fraction:
+        left, right = self.edges(a)
+        if j == 0:
+            return left[0]
+        if j == len(a):
+            return right[-1]
+        return (left[j] + right[j - 1]) / 2
+
+    def apply(self, a):
+        n, r = self.n, self.r
+        out = [[2 / h * sum(r[l][k] * blk[k] for k in range(n)) for l in range(n)]
+               for blk, h in zip(a, self.h)]
+        for j in range(1, len(a)):
+            half = self.jump(a, j) / 2
+            for k in range(n):
+                out[j - 1][k] += half * (2 * k + 1) / self.h[j - 1] * self.hi[k]
+                out[j][k] += half * (2 * k + 1) / self.h[j] * self.lo[k]
+        return out
+
+    def pairing(self, a, b, n: int, m: int) -> Fraction:
+        return sum((a[j][k] * b[j][k] * self.h[j] / (2 * k + 1)
+                    for j in range(n, m) for k in range(self.n)), Fraction(0))
+
+    def two_point_defect(self, u, v, n: int, m: int) -> Fraction:
+        """Signed ``pairing(Du, v) + pairing(u, Dv) - (u v at node m - u v at node n)``."""
+        boundary = (self.node_value(u, m) * self.node_value(v, m)
+                    - self.node_value(u, n) * self.node_value(v, n))
+        return self.pairing(self.apply(u), v, n, m) + self.pairing(u, self.apply(v), n, m) - boundary
+
+
+def dyadic_case(p: int, seed: int):
+    """A non-uniform grid of up to 4 cells with dyadic nodes, and two members
+    with dyadic coefficients: one pair that jumps everywhere, one continuous."""
+    rng = np.random.default_rng(seed)
+    beta = 2.0 ** int(rng.integers(-3, 4))
+    ell = int(rng.integers(1, 5))
+    interior = np.sort(rng.choice(np.arange(-15, 16), size=ell - 1, replace=False))
+    nodes = [-beta, *(beta * interior / 16).tolist(), beta]
+    exact = ExactD(nodes, p)
+
+    def member():
+        return [[Fraction(int(rng.integers(-8, 9)), 2 ** int(rng.integers(0, 4))) for _ in range(p + 1)]
+                for _ in range(ell)]
+
+    def continuous():
+        a = member()
+        for j in range(1, ell):
+            left, right = exact.edges(a)
+            a[j][0] += right[j - 1] - left[j]
+        return a
+
+    return nodes, exact, (member(), member()), (continuous(), continuous())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", range(5))
+def test_two_point_ibp_is_exact_where_its_boundary_is(p, seed):
+    nodes, exact, (u, v), (cu, cv) = dyadic_case(p, seed)
+    ell = len(nodes) - 1
+    # the cellwise part is the derivative: sum_l r[l][k] P_l = P_k' at a point
+    vals, ders = exact_legendre(0.3, p + 1)
+    for k in range(p + 1):
+        assert sum(exact.r[l][k] * vals[l] for l in range(p + 1)) == ders[k]
+    pairs = [(n, m) for n in range(ell + 1) for m in range(n, ell + 1)]
+    for n, m in pairs:
+        # a quarter of the change in the jump products between the limits
+        law = (exact.jump(u, n) * exact.jump(v, n) - exact.jump(u, m) * exact.jump(v, m)) / 4
+        assert exact.two_point_defect(u, v, n, m) == law
+        assert exact.two_point_defect(cu, cv, n, m) == 0
+    assert exact.two_point_defect(u, v, 0, ell) == 0
+    if ell > 1:
+        assert any(exact.jump(u, j) * exact.jump(v, j) != 0 for j in range(1, ell))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", range(5))
+def test_exact_reference_is_the_library_operator(p, seed):
+    # e_{j,k} = sqrt((2k + 1) / h_j) P_k, so orthonormal coefficients are a / sqrt((2k + 1) / h)
+    nodes, exact, (u, v), _ = dyadic_case(p, seed)
+    space = Space(Grid(nodes), p)
+    to_unit = np.sqrt((2 * np.arange(p + 1) + 1) / space.grid.widths()[:, None])
+    uf, vf = (Ultrafunction(space, np.array(a, dtype=float) / to_unit) for a in (u, v))
+    du = np.array(exact.apply(u), dtype=float)
+    got = derivative_operator(space, "D")(uf).blocks * to_unit
+    assert np.max(np.abs(got - du)) <= 1e-13 * (1.0 + np.max(np.abs(du)))
+    ell = space.n_cells
+    for n in range(ell + 1):
+        for m in range(n, ell + 1):
+            want = abs(float(exact.two_point_defect(u, v, n, m)))
+            assert abs(naive_ibp_defect(uf, vf, n, m) - want) <= 1e-12 * (1.0 + uf.norm() * vf.norm())
 
 
 def test_single_cell_space_identities():

@@ -565,6 +565,15 @@ def test_first_level_basis_is_the_scaled_reference_table(monkeypatch, p):
     assert seen == list(range(sp.n_cells))
 
 
+@pytest.mark.parametrize("p", range(21))
+def test_panel_rule_table_is_the_reference_cell_basis(p):
+    # the basis of the space on the one cell [-1, 1] at the panel's abscissae
+    t, _, table = projection._panel_rule(p)
+    reference_cell = Space(Grid([-1.0, 1.0]), p)
+    assert np.array_equal(table, reference_cell.cell_basis_values([0], t[None])[0])
+    assert table.shape == (t.size, p + 1) and not table.flags.writeable
+
+
 def test_l2_error_accepts_every_cell_of_a_fine_grid_at_the_first_level():
     # mapping each point back to its cell as (2x - 2 mid) / h cancels; at this
     # size that rounding made the Kronrod-Gauss test bisect 10 levels deep
