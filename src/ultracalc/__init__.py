@@ -23,6 +23,7 @@ from .basis import (
 from .calculus import (
     DerivOperator,
     derivative_operator,
+    ftc_defect,
     ftc_piecewise_defect,
     ibp_c1_defect,
     ibp_defect,
@@ -81,6 +82,7 @@ __all__ = [
     "delta_sided",
     "derivative_operator",
     "embed",
+    "ftc_defect",
     "ftc_piecewise_defect",
     "ibp_c1_defect",
     "ibp_defect",

@@ -162,7 +162,11 @@ class BasisPair:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.size,):
             raise InvalidArgumentError(f"need exactly {self.size} point values")
-        return Ultrafunction(self.space, (self.dual @ v[self.cols][:, :, None])[:, :, 0])
+        return Ultrafunction(self.space, self._interpolate(v))
+
+    def _interpolate(self, values) -> np.ndarray:
+        """Blocks ``(..., ell, n)`` of the members taking ``values[..., i]`` at ``points[i]``."""
+        return (self.dual @ np.take(values, self.cols, axis=-1)[..., None])[..., 0]
 
     def duality_matrix(self) -> np.ndarray:
         """Pairings of each cell's delta members with its cardinal members.

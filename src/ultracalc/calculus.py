@@ -19,7 +19,8 @@ Integration by parts over cells ``n .. m - 1`` with node-value boundary
 products is stated once, in ``naive_ibp_defect``: exact up to rounding over
 the full support (``ibp_defect``) and at end nodes where both members are
 continuous (``ibp_c1_defect``); in general it misses by a quarter of the
-difference of the endpoint jump products.
+difference of the endpoint jump products.  The fundamental theorem is
+``ftc_defect`` for ``D`` and ``ftc_piecewise_defect`` for ``D2``.
 
 Cellwise derivatives drop the polynomial degree by one, so they already lie
 in the space and need no projection solve.  ``D`` is the strong-form
@@ -109,10 +110,10 @@ def derivative_operator(space: Space, kind: str = "D") -> DerivOperator:
 # ----------------------------------------------------------------------
 
 
-def _cell_integrals(u: Ultrafunction) -> np.ndarray:
-    """Integral of ``u`` over each cell: of the cell's basis only ``e_{j,0} = 1 / sqrt(h_j)``
-    has a nonzero integral, ``sqrt(h_j)``."""
-    return np.sqrt(u.space._widths) * u.blocks[:, 0]
+def _cell_integrals(space: Space, blocks) -> np.ndarray:
+    """Integral over each cell of the members with blocks ``(..., ell, n)``: of the cell's
+    basis only ``e_{j,0} = 1 / sqrt(h_j)`` has a nonzero integral, ``sqrt(h_j)``."""
+    return np.sqrt(space._widths) * blocks[..., 0]
 
 
 def integrate(u: Ultrafunction, a: float, b: float) -> float:
@@ -122,7 +123,7 @@ def integrate(u: Ultrafunction, a: float, b: float) -> float:
     m = grid.node_index(b, "upper limit")
     if n > m:
         raise InvalidArgumentError("lower limit exceeds upper limit")
-    return float(np.sum(_cell_integrals(u)[n:m]))
+    return float(np.sum(_cell_integrals(u.space, u.blocks)[n:m]))
 
 
 def integrate_product(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
@@ -146,10 +147,87 @@ def _check_node_range(space: Space, n: int, m: int):
 # ----------------------------------------------------------------------
 
 
-def _ibp_residual(kind: str, u: Ultrafunction, v: Ultrafunction, n: int, m: int, boundary) -> float:
-    """``|integral of (Du) v + integral of u (Dv) - boundary|`` over cells ``n .. m - 1``."""
-    d = derivative_operator(u.space, kind)
-    return abs(integrate_product(d(u), v, n, m) + integrate_product(u, d(v), n, m) - boundary)
+# Each identity is stated once, below, on blocks of shape ``(..., ell, n)``:
+# the public functions pass one member, ``verify`` a stack of trials with one
+# node pair per member.  The images under ``D`` or ``D2`` are passed in, so a
+# caller that needs them for a scale applies the operator once.
+
+
+def _range_sums(values, n, m) -> np.ndarray:
+    """``values[..., n:m].sum()`` for every leading index, bit for bit.
+
+    ``n`` and ``m`` are node indices, or arrays with one pair per row of
+    ``(trials, ell)`` values.  Each row's slice is summed on its own: a sum
+    over a masked whole row would pair the terms differently.
+    """
+    if np.ndim(n) == 0 and np.ndim(m) == 0:
+        return values[..., n:m].sum(axis=-1)
+    return np.array([row[a:b].sum() for row, a, b in zip(values, n, m)])
+
+
+def _node_values(space: Space, blocks, j) -> np.ndarray:
+    """Values at node ``j`` of the members with blocks ``(..., ell, n)``, by the node rule of
+    :meth:`Space.node_terms`; ``j`` is a node index, or one per member of a stack."""
+    ell = space.n_cells
+    each = (np.arange(len(j)),) if np.ndim(j) else ()
+    lo, hi = j - (j > 0), j - (j == ell)  # the cells left and right of the node, at an end its one cell
+    minus = np.vecdot(blocks[(..., *each, lo, slice(None))], space.right_rows[lo])
+    plus = np.vecdot(blocks[(..., *each, hi, slice(None))], space.left_rows[hi])
+    return np.where(j == 0, plus, np.where(j == ell, minus, 0.5 * (minus + plus)))
+
+
+def _ibp_residual(u, v, du, dv, n, m, boundary) -> np.ndarray:
+    """``|integral of du v + integral of u dv - boundary|`` over cells ``n .. m - 1``."""
+    return np.abs(_range_sums(np.vecdot(du, v), n, m) + _range_sums(np.vecdot(u, dv), n, m) - boundary)
+
+
+def _naive_ibp(space: Space, u, v, du, dv, n, m) -> np.ndarray:
+    """:func:`naive_ibp_defect` of blocks ``u, v`` with images ``du, dv`` under ``D``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or NaN, no warning
+        boundary = (_node_values(space, u, m) * _node_values(space, v, m)
+                    - _node_values(space, u, n) * _node_values(space, v, n))
+        return _ibp_residual(u, v, du, dv, n, m, boundary)
+
+
+def _ibp_piecewise(space: Space, u, v, du, dv, n, m) -> np.ndarray:
+    """:func:`ibp_piecewise_defect` of blocks ``u, v`` with images ``du, dv`` under ``D2``."""
+    (lu, ru), (lv, rv) = space.edges(u), space.edges(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ibp_residual(u, v, du, dv, n, m, _range_sums(ru * rv - lu * lv, n, m))
+
+
+def _ibp_c1(space: Space, u, v, du, dv, n, m) -> np.ndarray:
+    """:func:`ibp_c1_defect` of blocks ``u, v`` with images ``du, dv`` under ``D``; the
+    error names the first jump of the first member of a stack that has one."""
+    (lu, ru), (lv, rv) = space.edges(u), space.edges(v)
+    # jumps at the interior nodes 1 .. ell - 1, and whether each lies in [n, m]
+    jumps = np.maximum(np.abs(lu[..., 1:] - ru[..., :-1]), np.abs(lv[..., 1:] - rv[..., :-1]))
+    node = np.arange(1, space.n_cells)
+    inside = (node >= np.expand_dims(n, -1)) & (node <= np.expand_dims(m, -1))
+    bad = np.argwhere((jumps > CONTINUITY_TOL) & inside)
+    if bad.size:
+        raise PreconditionError(
+            f"member jumps at node {int(bad[0, -1]) + 1}; the two-point formula does not apply"
+        )
+    return np.where(np.equal(n, m), 0.0, _naive_ibp(space, u, v, du, dv, n, m))
+
+
+def _ftc_residual(space: Space, du, n, m, boundary) -> np.ndarray:
+    """``|integral of du - boundary|`` over cells ``n .. m - 1``."""
+    return np.abs(_range_sums(_cell_integrals(space, du), n, m) - boundary)
+
+
+def _ftc(space: Space, u, du, n, m) -> np.ndarray:
+    """:func:`ftc_defect` of blocks ``u`` with image ``du`` under ``D``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ftc_residual(space, du, n, m, _node_values(space, u, m) - _node_values(space, u, n))
+
+
+def _ftc_piecewise(space: Space, u, du, n, m) -> np.ndarray:
+    """:func:`ftc_piecewise_defect` of blocks ``u`` with image ``du`` under ``D2``."""
+    left, right = space.edges(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ftc_residual(space, du, n, m, _range_sums(right - left, n, m))
 
 
 def ibp_defect(u: Ultrafunction, v: Ultrafunction) -> float:
@@ -169,19 +247,9 @@ def ibp_c1_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
     up to rounding; otherwise :class:`~ultracalc.errors.PreconditionError`
     is raised.
     """
-    sp = u.space
-    _check_node_range(sp, n, m)
-    (lu, ru), (lv, rv) = sp.edges(u.blocks), sp.edges(v.blocks)
-    lo, hi = max(n, 1), min(m, sp.n_cells - 1) + 1  # interior nodes in [n, m]
-    jumps = np.abs([lu[lo:hi] - ru[lo - 1 : hi - 1], lv[lo:hi] - rv[lo - 1 : hi - 1]])
-    bad = np.flatnonzero(np.max(jumps, axis=0) > CONTINUITY_TOL)
-    if bad.size:
-        raise PreconditionError(
-            f"member jumps at node {lo + int(bad[0])}; the two-point formula does not apply"
-        )
-    if n == m:
-        return 0.0
-    return naive_ibp_defect(u, v, n, m)
+    _check_node_range(u.space, n, m)
+    d = derivative_operator(u.space, "D")
+    return float(_ibp_c1(u.space, u.blocks, v.blocks, d(u).blocks, d(v).blocks, n, m))
 
 
 def ibp_piecewise_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
@@ -190,22 +258,22 @@ def ibp_piecewise_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> 
     Holds for arbitrary (including discontinuous) members; the boundary term
     is the one-sided product sum over the traversed cells.
     """
-    sp = u.space
-    _check_node_range(sp, n, m)
-    (lu, ru), (lv, rv) = sp.edges(u.blocks), sp.edges(v.blocks)
-    boundary = float(np.sum(ru[n:m] * rv[n:m] - lu[n:m] * lv[n:m]))
-    return _ibp_residual("D2", u, v, n, m, boundary)
+    _check_node_range(u.space, n, m)
+    d2 = derivative_operator(u.space, "D2")
+    return float(_ibp_piecewise(u.space, u.blocks, v.blocks, d2(u).blocks, d2(v).blocks, n, m))
+
+
+def ftc_defect(u: Ultrafunction, n: int, m: int) -> float:
+    """Residual of the fundamental theorem for the generalized derivative over cells ``n .. m - 1``:
+    ``|integral of Du - (u at node m - u at node n)|``, zero up to rounding."""
+    _check_node_range(u.space, n, m)
+    return float(_ftc(u.space, u.blocks, derivative_operator(u.space, "D")(u).blocks, n, m))
 
 
 def ftc_piecewise_defect(u: Ultrafunction, n: int, m: int) -> float:
     """Residual of the cellwise fundamental theorem over cells ``n .. m - 1``."""
-    sp = u.space
-    _check_node_range(sp, n, m)
-    d2 = derivative_operator(sp, "D2")
-    lhs = float(np.sum(_cell_integrals(d2.apply(u))[n:m]))
-    left, right = sp.edges(u.blocks)
-    rhs = float(np.sum(right[n:m] - left[n:m]))
-    return abs(lhs - rhs)
+    _check_node_range(u.space, n, m)
+    return float(_ftc_piecewise(u.space, u.blocks, derivative_operator(u.space, "D2")(u).blocks, n, m))
 
 
 def naive_ibp_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> float:
@@ -216,5 +284,5 @@ def naive_ibp_defect(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> floa
     the defect is a quarter of the difference of the endpoint jump products.
     """
     _check_node_range(u.space, n, m)
-    boundary = u.node_value(m) * v.node_value(m) - u.node_value(n) * v.node_value(n)
-    return _ibp_residual("D", u, v, n, m, boundary)
+    d = derivative_operator(u.space, "D")
+    return float(_naive_ibp(u.space, u.blocks, v.blocks, d(u).blocks, d(v).blocks, n, m))

@@ -251,6 +251,46 @@ class Space:
         with np.errstate(over="ignore"):
             return float(np.vecdot(a, b).sum())
 
+    @staticmethod
+    def _norms(blocks) -> np.ndarray:
+        """L2 norms of the members with blocks ``(..., ell, n)``, of the leading shape.
+
+        Where only a square overflows, the norm is computed on that member's
+        blocks scaled by a power of two: the scaling is exact, so only the
+        overflow is avoided.
+        """
+        stack = blocks.reshape(-1, *blocks.shape[-2:])
+        with np.errstate(over="ignore"):
+            squares = np.vecdot(stack, stack).sum(axis=-1)
+        norms = np.sqrt(squares)
+        redo = ~np.isfinite(squares)
+        if redo.any():
+            redo &= np.isfinite(stack).all(axis=(1, 2))
+            big = stack[redo]
+            e = np.frexp(np.max(np.abs(big), axis=(1, 2)))[1]
+            scaled = np.ldexp(big, -e[:, None, None])
+            with np.errstate(over="ignore"):  # a norm beyond the largest float is inf
+                norms[redo] = np.ldexp(np.sqrt(np.vecdot(scaled, scaled).sum(axis=-1)), e)
+        return norms.reshape(blocks.shape[:-2])
+
+    def _sample(self, blocks, xs) -> np.ndarray:
+        """Values ``(..., points)`` of the members with blocks ``(..., ell, n)`` at ``xs``."""
+        x = np.asarray(xs, dtype=float).reshape(-1)
+        kind, index = self.grid.classify(x)
+        out = np.zeros((*blocks.shape[:-2], x.size))
+        inside = kind == PointKind.INTERIOR
+        cells = index[inside]
+        vals = self.cell_basis_values(cells, x[inside, None])[:, 0]
+        out[..., inside] = np.vecdot(np.take(blocks, cells, axis=-2), vals)
+        at = kind == PointKind.NODE
+        j = index[at]
+        ell = len(self.left_rows)  # n_cells, without two property reads
+        left, right = np.maximum(j - 1, 0), np.minimum(j, ell - 1)
+        minus = np.vecdot(np.take(blocks, left, axis=-2), self.right_rows[left])
+        plus = np.vecdot(np.take(blocks, right, axis=-2), self.left_rows[right])
+        out[..., at] = np.where(j == 0, plus, np.where(j == ell, minus, 0.5 * (minus + plus)))
+        return out
+
     # ------------------------------------------------------------------
     # members
     # ------------------------------------------------------------------
@@ -274,16 +314,22 @@ class Space:
             raise InvalidArgumentError(
                 f"polynomial degree {a.size - 1} exceeds cell degree {self.degree}"
             )
-        ell, d = self.n_cells, a.size
+        return Ultrafunction(self, self._polynomial_blocks(a))
+
+    def _polynomial_blocks(self, a) -> np.ndarray:
+        """Blocks ``(..., ell, n)`` of :meth:`from_polynomial` for coefficients ``(..., d)``:
+        one Horner pass over a ``(..., d, cells)`` array."""
+        ell, d = self.n_cells, a.shape[-1]
         mid, half = self._mids, 0.5 * self._widths
-        q = np.zeros((d, ell))  # q[i, j] multiplies t**i on cell j
-        q[:1] = a[-1]
-        for coeff in a[-2::-1]:
-            q[1:] = mid * q[1:] + half * q[:-1]
-            q[:1] = mid * q[:1] + coeff
-        blocks = np.zeros((ell, self.block_size))
-        blocks[:, :d] = np.sqrt(half)[:, None] * (np.ascontiguousarray(q.T) @ _monomial_moments(d))
-        return Ultrafunction(self, blocks)
+        q = np.zeros((*a.shape[:-1], d, ell))  # q[..., i, j] multiplies t**i on cell j
+        q[..., :1, :] = a[..., -1:, None]
+        for i in range(d - 2, -1, -1):
+            q[..., 1:, :] = mid * q[..., 1:, :] + half * q[..., :-1, :]
+            q[..., :1, :] = mid * q[..., :1, :] + a[..., i, None, None]
+        blocks = np.zeros((*a.shape[:-1], ell, self.block_size))
+        rows = np.ascontiguousarray(np.swapaxes(q, -1, -2))
+        blocks[..., :d] = np.sqrt(half)[:, None] * (rows @ _monomial_moments(d))
+        return blocks
 
     def constant(self, value: float) -> "Ultrafunction":
         """Member equal to ``value`` on the whole support: only the constant coefficients are nonzero."""
@@ -294,10 +340,14 @@ class Space:
         v = np.asarray(cell_values, dtype=float)
         if v.shape != (self.n_cells,):
             raise InvalidArgumentError("need one value per cell")
-        blocks = np.zeros((self.n_cells, self.block_size))
+        return Ultrafunction(self, self._grid_blocks(v))
+
+    def _grid_blocks(self, cell_values) -> np.ndarray:
+        """Blocks ``(..., ell, n)`` of the members constant on every cell, for values ``(..., ell)``."""
+        blocks = np.zeros((*cell_values.shape, self.block_size))
         # e_{j,0} is the positive constant scale * sqrt(1/2)
-        blocks[:, 0] = v / (self._scales * _SQRT_HALF)
-        return Ultrafunction(self, blocks)
+        blocks[..., 0] = cell_values / (self._scales * _SQRT_HALF)
+        return blocks
 
     def indicator(self, a: float, b: float) -> "Ultrafunction":
         """Characteristic function of ``[a, b]`` for grid nodes ``a <= b``."""
@@ -376,22 +426,7 @@ class Ultrafunction:
         their edge rows' values as :meth:`Space.node_terms` prescribes, and
         outside points give 0.
         """
-        sp = self.space
-        x = np.asarray(xs, dtype=float).reshape(-1)
-        kind, index = sp.grid.classify(x)
-        out = np.zeros(x.size)
-        inside = kind == PointKind.INTERIOR
-        cells = index[inside]
-        vals = sp.cell_basis_values(cells, x[inside, None])[:, 0]
-        out[inside] = np.vecdot(self.blocks[cells], vals)
-        at = kind == PointKind.NODE
-        j = index[at]
-        ell = sp.n_cells
-        left, right = np.maximum(j - 1, 0), np.minimum(j, ell - 1)
-        minus = np.vecdot(self.blocks[left], sp.right_rows[left])
-        plus = np.vecdot(self.blocks[right], sp.left_rows[right])
-        out[at] = np.where(j == 0, plus, np.where(j == ell, minus, 0.5 * (minus + plus)))
-        return out
+        return self.space._sample(self.blocks, xs)
 
     # ------------------------------------------------------------------
     # inner products
@@ -406,17 +441,7 @@ class Ultrafunction:
 
     def norm(self) -> float:
         """L2 norm; where only its square overflows, computed on blocks scaled by a power of two."""
-        square = self.inner(self)
-        if not math.isfinite(square) and np.isfinite(self.blocks).all():
-            # scaling by a power of two is exact, so only the overflow is avoided
-            e = math.frexp(float(np.max(np.abs(self.blocks))))[1]
-            scaled = np.ldexp(self.blocks, -e)
-            root = math.sqrt(self.space._product_integral(scaled, scaled))
-            try:
-                return math.ldexp(root, e)
-            except OverflowError:  # the norm itself exceeds the largest float
-                return math.inf
-        return math.sqrt(square)
+        return float(self.space._norms(self.blocks))
 
     # ------------------------------------------------------------------
     # algebra

@@ -36,10 +36,6 @@ def random_member(space: Space, rng: np.random.Generator, scale: float = 1.0) ->
     return Ultrafunction(space, scale * rng.standard_normal((space.n_cells, space.block_size)))
 
 
-def random_grid_function(space: Space, rng: np.random.Generator) -> Ultrafunction:
-    return space.grid_function(rng.standard_normal(space.n_cells))
-
-
 def random_point(space: Space, rng: np.random.Generator) -> float:
     """Random point of the closed support, occasionally an exact node."""
     if rng.random() < 0.2:
@@ -56,6 +52,27 @@ def _smooth_handle(rng: np.random.Generator) -> FunctionHandle:
         return a * np.sin(k * x + b) + c * x * x
 
     return FunctionHandle(fn, array=fn)
+
+
+#: most floats in one ``(trials, ell, n)`` array of a stack of trials; a space
+#: with more coefficients than this checks one trial per stack
+STACK_FLOATS = 2**16
+
+
+def _stacks(space: Space, trials: int, draw):
+    """The inputs of ``trials`` trials, one ``draw()`` per trial in trial order, in stacks.
+
+    Yields one array per field of ``draw()``'s tuple, with a leading axis of
+    as many trials as keep a ``(trials, ell, n)`` array within ``STACK_FLOATS``.
+    """
+    per = max(1, STACK_FLOATS // space.dim)
+    for start in range(0, trials, per):
+        yield [np.array(field) for field in zip(*(draw() for _ in range(min(per, trials - start))))]
+
+
+def _worst(worst: float, defects) -> float:
+    """The largest of ``worst`` and ``defects``; a NaN defect is passed over, as ``max`` does."""
+    return float(np.fmax.reduce(defects, axis=None, initial=worst))
 
 
 # ----------------------------------------------------------------------
@@ -102,11 +119,10 @@ def _suite_sigma(space, trials, rng):
         values = Ultrafunction(space, pair.dual[:, :, a]).sample(cell_pts).reshape(cell_pts.shape)
         cardinal = max(cardinal, float(np.max(np.abs(values - eye[a]))))
     roundtrip = 0.0
-    for _ in range(trials):
-        u = random_member(space, rng)
-        values = u.sample(pair.points)
-        v = pair.interpolate(values)
-        roundtrip = max(roundtrip, float(np.max(np.abs(u.blocks - v.blocks))))
+    shape = (space.n_cells, space.block_size)
+    for (u,) in _stacks(space, trials, lambda: (rng.standard_normal(shape),)):
+        v = pair._interpolate(space._sample(u, pair.points))
+        roundtrip = _worst(roundtrip, np.max(np.abs(u - v), axis=(-2, -1)))
     return [
         CheckResult("sigma", "duality-identity", 1, duality, 1e-10),
         CheckResult("sigma", "cardinal-values", 1, cardinal, 1e-10),
@@ -139,26 +155,36 @@ def _suite_projection(space, trials, rng):
 
 
 def _suite_ibp(space, trials, rng):
-    d = calc.derivative_operator(space, "D")
+    d, d2 = (calc.derivative_operator(space, kind) for kind in ("D", "D2"))
+    ell, shape = space.n_cells, (space.n_cells, space.block_size)
+
+    def draw():
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        n = int(rng.integers(0, ell))
+        return u, v, n, int(rng.integers(n, ell + 1))
+
+    norm = space._norms
     full = piecewise = c1 = 0.0
-    for _ in range(trials):
-        u = random_member(space, rng)
-        v = random_member(space, rng)
-        scale = 1.0 + d(u).norm() * v.norm() + u.norm() * d(v).norm()  # Cauchy-Schwarz: |Du| ~ 1/h
-        full = max(full, calc.ibp_defect(u, v) / scale)
-        n = int(rng.integers(0, space.n_cells))
-        m = int(rng.integers(n, space.n_cells + 1))
-        piecewise = max(piecewise, calc.ibp_piecewise_defect(u, v, n, m) / scale)
+    for u, v, n, m in _stacks(space, trials, draw):
+        du, dv = d._apply_blocks(u), d._apply_blocks(v)
+        scale = 1.0 + norm(du) * norm(v) + norm(u) * norm(dv)  # Cauchy-Schwarz: |Du| ~ 1/h
+        full = _worst(full, calc._naive_ibp(space, u, v, du, dv, 0, ell) / scale)
+        d2u, d2v = d2._apply_blocks(u), d2._apply_blocks(v)
+        piecewise = _worst(piecewise, calc._ibp_piecewise(space, u, v, d2u, d2v, n, m) / scale)
     pairs = max(1, trials // 4) if space.degree >= 1 else 0
     # each term below 1 on the support, so rounding jumps stay under CONTINUITY_TOL
     damp = max(1.0, space.grid.beta) ** -np.arange(space.degree + 1)
-    for _ in range(pairs):
-        cu = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
-        cv = space.from_polynomial(damp * rng.uniform(-1, 1, size=space.degree + 1))
-        n = int(rng.integers(0, space.n_cells))
-        m = int(rng.integers(n, space.n_cells + 1))
-        scale = 1.0 + cu.norm() * cv.norm()
-        c1 = max(c1, calc.ibp_c1_defect(cu, cv, n, m) / scale)
+
+    def draw_pair():
+        cu = damp * rng.uniform(-1, 1, size=space.degree + 1)
+        cv = damp * rng.uniform(-1, 1, size=space.degree + 1)
+        n = int(rng.integers(0, ell))
+        return cu, cv, n, int(rng.integers(n, ell + 1))
+
+    for cu, cv, n, m in _stacks(space, pairs, draw_pair):
+        u, v = space._polynomial_blocks(cu), space._polynomial_blocks(cv)
+        scale = 1.0 + norm(u) * norm(v)
+        c1 = _worst(c1, calc._ibp_c1(space, u, v, d._apply_blocks(u), d._apply_blocks(v), n, m) / scale)
     # deterministic counterexample: the step jumps by 1 at the lower limit only, so the
     # two-point formula misses by exactly 1/4 (by 0 on one cell: no interior node)
     mid = space.n_cells // 2
@@ -173,20 +199,19 @@ def _suite_ibp(space, trials, rng):
 
 
 def _suite_ftc(space, trials, rng):
-    d = calc.derivative_operator(space, "D")
-    grid = space.grid
+    d, d2 = (calc.derivative_operator(space, kind) for kind in ("D", "D2"))
+    ell, shape = space.n_cells, (space.n_cells, space.block_size)
+
+    def draw():
+        u = rng.standard_normal(shape)
+        n = int(rng.integers(0, ell + 1))
+        return u, n, int(rng.integers(n, ell + 1))
+
     ftc = piecewise = 0.0
-    for _ in range(trials):
-        u = random_member(space, rng)
-        n = int(rng.integers(0, grid.n_cells + 1))
-        m = int(rng.integers(n, grid.n_cells + 1))
-        a, b = float(grid.nodes[n]), float(grid.nodes[m])
-        lhs = calc.integrate(d.apply(u), a, b)
-        defect = abs(lhs - (u(b) - u(a))) / (1.0 + u.norm())
-        ftc = max(ftc, defect)
-        piecewise = max(
-            piecewise, calc.ftc_piecewise_defect(u, n, m) / (1.0 + u.norm())
-        )
+    for u, n, m in _stacks(space, trials, draw):
+        scale = 1.0 + space._norms(u)
+        ftc = _worst(ftc, calc._ftc(space, u, d._apply_blocks(u), n, m) / scale)
+        piecewise = _worst(piecewise, calc._ftc_piecewise(space, u, d2._apply_blocks(u), n, m) / scale)
     examples = _derivative_examples_defect(space, d)
     return [
         CheckResult("ftc", "fundamental-theorem", trials, ftc, 1e-10),
@@ -221,9 +246,8 @@ def _derivative_examples_defect(space: Space, d: calc.DerivOperator) -> float:
 def _suite_d2(space, trials, rng):
     d2 = calc.derivative_operator(space, "D2")
     worst = 0.0
-    for _ in range(trials):
-        g = random_grid_function(space, rng)
-        worst = max(worst, float(np.max(np.abs(d2.apply(g).blocks))))
+    for (g,) in _stacks(space, trials, lambda: (rng.standard_normal(space.n_cells),)):
+        worst = _worst(worst, np.max(np.abs(d2._apply_blocks(space._grid_blocks(g))), axis=(-2, -1)))
     return [CheckResult("d2", "grid-function-annihilation", trials, worst, 0.0)]
 
 

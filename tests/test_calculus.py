@@ -12,8 +12,10 @@ from ultracalc import (
     PreconditionError,
     Space,
     Ultrafunction,
+    calculus,
     delta,
     derivative_operator,
+    ftc_defect,
     ftc_piecewise_defect,
     ibp_c1_defect,
     ibp_defect,
@@ -266,7 +268,8 @@ def test_two_point_ibp_is_the_one_sided_formula_to_rounding(grid, degree, seed, 
 
 @pytest.mark.parametrize(
     "fn",
-    [integrate_product, ibp_c1_defect, ibp_piecewise_defect, naive_ibp_defect, ftc_piecewise_defect],
+    [integrate_product, ibp_c1_defect, ibp_piecewise_defect, naive_ibp_defect, ftc_piecewise_defect,
+     ftc_defect],
 )
 @pytest.mark.parametrize(
     "n, m",
@@ -274,7 +277,7 @@ def test_two_point_ibp_is_the_one_sided_formula_to_rounding(grid, degree, seed, 
 )
 def test_node_range_refuses_what_is_no_node_index_pair(space, fn, n, m):
     u = space.from_polynomial([1.0, 1.0])
-    members = (u,) if fn is ftc_piecewise_defect else (u, u)
+    members = (u,) if fn in (ftc_piecewise_defect, ftc_defect) else (u, u)
     with pytest.raises(InvalidArgumentError, match="node indices"):
         fn(*members, n, m)
     assert fn(*members, np.int64(0), 2) == fn(*members, 0, 2)
@@ -402,16 +405,25 @@ class ExactD:
             return right[-1]
         return (left[j] + right[j - 1]) / 2
 
-    def apply(self, a):
+    def cellwise(self, a):
+        """``D2``: the classical derivative inside every cell."""
         n, r = self.n, self.r
-        out = [[2 / h * sum(r[l][k] * blk[k] for k in range(n)) for l in range(n)]
-               for blk, h in zip(a, self.h)]
+        return [[2 / h * sum(r[l][k] * blk[k] for k in range(n)) for l in range(n)]
+                for blk, h in zip(a, self.h)]
+
+    def apply(self, a):
+        n = self.n
+        out = self.cellwise(a)
         for j in range(1, len(a)):
             half = self.jump(a, j) / 2
             for k in range(n):
                 out[j - 1][k] += half * (2 * k + 1) / self.h[j - 1] * self.hi[k]
                 out[j][k] += half * (2 * k + 1) / self.h[j] * self.lo[k]
         return out
+
+    def integral(self, a, n: int, m: int) -> Fraction:
+        """Over cells ``n .. m - 1``: only ``P_0`` has a nonzero integral, ``h``."""
+        return sum((blk[0] * h for blk, h in zip(a[n:m], self.h[n:m])), Fraction(0))
 
     def pairing(self, a, b, n: int, m: int) -> Fraction:
         return sum((a[j][k] * b[j][k] * self.h[j] / (2 * k + 1)
@@ -484,6 +496,54 @@ def test_exact_reference_is_the_library_operator(p, seed):
         for m in range(n, ell + 1):
             want = abs(float(exact.two_point_defect(u, v, n, m)))
             assert abs(naive_ibp_defect(uf, vf, n, m) - want) <= 1e-12 * (1.0 + uf.norm() * vf.norm())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", range(5))
+def test_fundamental_theorem_is_exact(p, seed):
+    nodes, exact, (u, v), (cu, cv) = dyadic_case(p, seed)
+    ell = len(nodes) - 1
+    for a in (u, v, cu, cv):
+        du, d2u = exact.apply(a), exact.cellwise(a)
+        left, right = exact.edges(a)
+        for n in range(ell + 1):
+            for m in range(n, ell + 1):
+                # D: the node values, whose halves of the end jumps the lifting supplies
+                assert exact.integral(du, n, m) == exact.node_value(a, m) - exact.node_value(a, n)
+                # D2: the one-sided edge values of every traversed cell
+                one_sided = sum(right[n:m], Fraction(0)) - sum(left[n:m], Fraction(0))
+                assert exact.integral(d2u, n, m) == one_sided
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", range(5))
+def test_float_fundamental_theorem_is_the_exact_one(p, seed):
+    nodes, exact, pair, continuous = dyadic_case(p, seed)
+    members = [*pair, *continuous]
+    space = Space(Grid(nodes), p)
+    to_unit = np.sqrt((2 * np.arange(p + 1) + 1) / space.grid.widths()[:, None])
+    ell = space.n_cells
+    ranges = [(n, m) for n in range(ell + 1) for m in range(n, ell + 1)]
+    # one stack holds every member over every node range
+    cases = [(a, n, m) for a in members for n, m in ranges]
+    stack = np.array([np.array(a, dtype=float) / to_unit for a, _, _ in cases])
+    ns, ms = (np.array(k) for k in zip(*((n, m) for _, n, m in cases)))
+    d, d2 = derivative_operator(space, "D"), derivative_operator(space, "D2")
+    stacked = calculus._ftc(space, stack, d._apply_blocks(stack), ns, ms)
+    stacked_d2 = calculus._ftc_piecewise(space, stack, d2._apply_blocks(stack), ns, ms)
+    for i, (a, n, m) in enumerate(cases):
+        uf = Ultrafunction(space, stack[i])
+        # the largest coefficient times p + 1 bounds every node value
+        bound = 16 * np.finfo(float).eps * (1.0 + max(abs(float(c)) for blk in a for c in blk) * (p + 1))
+        want = float(exact.integral(exact.apply(a), n, m))
+        assert abs(integrate(d(uf), float(nodes[n]), float(nodes[m])) - want) <= bound
+        assert ftc_defect(uf, n, m) <= bound
+        assert ftc_piecewise_defect(uf, n, m) <= bound
+        # the stack runs the one-member functions' arithmetic, bit for bit
+        assert stacked[i] == ftc_defect(uf, n, m)
+        assert stacked_d2[i] == ftc_piecewise_defect(uf, n, m)
+        assert ftc_defect(uf, n, m) == abs(integrate(d(uf), float(nodes[n]), float(nodes[m]))
+                                           - (uf(float(nodes[m])) - uf(float(nodes[n]))))
 
 
 def test_single_cell_space_identities():
