@@ -132,7 +132,7 @@ def integrate_product(u: Ultrafunction, v: Ultrafunction, n: int, m: int) -> flo
     if v.space is not sp and v.space != sp:
         raise InvalidArgumentError("members belong to different spaces")
     _check_node_range(sp, n, m)
-    return sp._product_integral(u.blocks[n:m], v.blocks[n:m])
+    return float(sp._product_integral(u.blocks[n:m], v.blocks[n:m]))
 
 
 def _check_node_range(space: Space, n: int, m: int):

@@ -10,8 +10,19 @@ Quadrature
 Coefficients are per-cell integrals of ``f`` against the cell basis, computed
 by adaptive Gauss-Kronrod bisection to a caller-visible tolerance.  Every
 operation (projection, pairing with a member, L2 error) is one array
-integrand ``integrand(cells, x, f(x))`` handed to a single engine, which
-bisects all intervals of all cells level by level.
+integrand ``integrand(rows, cells, f(x), basis)`` handed to a single engine,
+which bisects all intervals of all cells level by level.
+
+Each interval carries, beside its cell, its row: the member of a family of
+functions (and, for a pairing or an L2 error, of a stack of members) that it
+belongs to.  The public operations integrate a family of one member, so
+every row is 0; a caller with many functions, such as ``verify``'s
+projection suite, integrates all their cells in one engine call.  Rows never
+mix: each interval's acceptance, its split, the sum back into its parent and
+the tolerance it is tested against (halved per level for all alike) depend
+on that interval alone, so a member's integrals are the same bits whether it
+is integrated alone or with others.  Which error is raised first can differ,
+as the first failing interval of a batch may belong to another member.
 
 Each interval is evaluated once, at the ``2n + 1`` points of the Kronrod
 extension of the ``n``-point Gauss rule (``n = 7``, QUADPACK's G7/K15 pair,
@@ -70,7 +81,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as leg
@@ -127,6 +138,24 @@ def as_handle(f) -> FunctionHandle:
     if callable(f):
         return FunctionHandle(f)
     raise InvalidArgumentError("expected a callable or a FunctionHandle")
+
+
+class _Family(NamedTuple):
+    """``members`` functions with the same declared singular points.
+
+    ``values(rows, x)`` is the ``(m, P)`` array of member ``rows[i]`` at the
+    points of row ``x[i]``, for ``rows`` of length m.
+    """
+
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    members: int
+    singular: tuple[float, ...] = ()
+
+
+def _family(handle: FunctionHandle) -> _Family:
+    """The family of one member, ``handle``."""
+    array = handle.array
+    return _Family(lambda rows, x: array(x), 1, handle.singular)
 
 
 # ----------------------------------------------------------------------
@@ -205,12 +234,12 @@ def _panel_points(lo, hi, t):
     return mid[:, None] + half[:, None] * t, half
 
 
-def _panels(integrand, handle, space, cells, lo, hi, whole):
-    """Kronrod and embedded Gauss sums over the intervals ``[lo, hi]`` of the m ``cells``.
+def _panels(integrand, family, space, rows, cells, lo, hi, whole):
+    """Kronrod and embedded Gauss sums over the intervals ``[lo, hi]`` of the m ``rows`` and ``cells``.
 
-    The points of ``_CHUNK`` intervals at a time go to ``handle.array``, and
+    The points of ``_CHUNK`` intervals at a time go to ``family.values``, and
     their values with the cells' basis values at the points to
-    ``integrand(cells, fx, basis)``, in one call each.  The basis values are
+    ``integrand(rows, cells, fx, basis)``, in one call each.  The basis values are
     each cell's scale times the per-degree table of :func:`_panel_rule` when
     the intervals are the ``whole`` cells, and otherwise
     :meth:`Space.cell_basis_values` maps the points back to their cells.
@@ -221,26 +250,25 @@ def _panels(integrand, handle, space, cells, lo, hi, whole):
     Kronrod first, and each interval's largest ``|integrand|``.
     """
     t, w, table = _panel_rule(space.degree)
-    sums, peak = [], []
     for start in range(0, len(cells), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        chunk = cells[rows]
-        x, half = _panel_points(lo[rows], hi[rows], t)
+        batch = slice(start, start + _CHUNK)
+        members, chunk = rows[batch], cells[batch]
+        x, half = _panel_points(lo[batch], hi[batch], t)
         if whole:
             basis = space._scales[chunk][:, None, None] * table
         else:
             basis = space.cell_basis_values(chunk, x)
-        fx = handle.array(x)
+        fx = family.values(members, x)
         if not np.isfinite(fx).all():
             _refuse_non_finite(chunk, x, fx)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = integrand(chunk, fx, basis)
+            values = integrand(members, chunk, fx, basis)
+            if not start:
+                sums, peak = np.empty((len(cells), 2, values.shape[-1])), np.empty(len(cells))
             total = np.add.accumulate(values[:, None] * w[:, :, None], axis=2)[:, :, -1]
-            sums.append(half[:, None, None] * total)
-        peak.append(np.abs(values).max(axis=(1, 2)))
-    if len(sums) == 1:
-        return sums[0], peak[0]
-    return np.concatenate(sums), np.concatenate(peak)
+            np.multiply(half[:, None, None], total, out=sums[batch])
+        np.abs(values).max(axis=(1, 2), out=peak[batch])
+    return sums, peak
 
 
 def _refuse_non_finite(cells, x, fx):
@@ -252,8 +280,8 @@ def _refuse_non_finite(cells, x, fx):
     )
 
 
-def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.ndarray:
-    """Integrals over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
+def _intervals(integrand, family, space, rows, cells, lo, hi, tol, whole=False) -> np.ndarray:
+    """Integrals of members ``rows`` over the intervals ``[lo, hi]``, each inside its cell of ``cells``.
 
     ``whole`` says that the intervals are their cells themselves, so the
     first level's panels take their basis values from the per-degree table;
@@ -263,14 +291,15 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.
     differ by more than ``tol`` and its rounding floor is split in two, the
     children getting fresh panels at the next level and ``tol`` halving.  An
     accepted interval keeps its Kronrod sum, and each child pair is summed
-    back into its parent as ``left + right``.  An interval still failing at
+    back into its parent as ``left + right``; the children keep their
+    parent's row and cell, so rows never mix.  An interval still failing at
     depth ``MAX_SUBDIVISIONS`` raises for the first of its cells.  An
     integrand or panel sum that overflows, which no split could mend, raises
     ``InvalidArgumentError`` for the first of its cells.
     """
     levels = []
     for depth in range(MAX_SUBDIVISIONS + 1):
-        sums, peak = _panels(integrand, handle, space, cells, lo, hi, whole and depth == 0)
+        sums, peak = _panels(integrand, family, space, rows, cells, lo, hi, whole and depth == 0)
         # an integrand value that is not finite leaves its Kronrod sum so too
         if not np.isfinite(sums).all():
             j = int(cells[np.argmin(np.isfinite(sums).all(axis=(1, 2)))])
@@ -278,7 +307,7 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.
                 f"the integrand overflows on cell {j}: its values or their integral are not finite"
             )
         split = ~_accepted(sums, peak, lo, hi, tol)
-        levels.append((sums[:, 0], split))
+        levels.append((sums[:, 0].copy(), split))  # a copy frees the Gauss sums
         if not split.any():
             break
         if depth == MAX_SUBDIVISIONS:
@@ -286,7 +315,7 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.
             raise QuadratureError(f"adaptive quadrature did not converge on cell {j}", j)
         # each split parent gives its left child, then its right child
         mid = 0.5 * (lo + hi)
-        cells = np.repeat(cells[split], 2)
+        rows, cells = np.repeat(rows[split], 2), np.repeat(cells[split], 2)
         lo, hi = np.stack([lo, mid], 1)[split].ravel(), np.stack([mid, hi], 1)[split].ravel()
         tol = 0.5 * tol
     total = levels.pop()[0]
@@ -296,8 +325,8 @@ def _intervals(integrand, handle, space, cells, lo, hi, tol, whole=False) -> np.
     return total
 
 
-def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
-    """Sum integrals over geometrically shrinking intervals of cell ``j`` approaching ``s``.
+def _toward_singularity(integrand, family, space, row, j, s, far, tol) -> np.ndarray:
+    """Sum integrals of member ``row`` over shrinking intervals of cell ``j`` approaching ``s``.
 
     Stops short of a piece that rounds onto ``s``, so ``s`` is never
     evaluated.  Every piece is integrated in one engine call; their
@@ -317,17 +346,18 @@ def _toward_singularity(integrand, handle, space, j, s, far, tol) -> np.ndarray:
     if bounds:
         lo, hi = np.array(bounds).T
         total = 0.0
-        for piece in _intervals(integrand, handle, space, np.full(len(lo), j), lo, hi, tol):
+        pieces = np.full(len(lo), row), np.full(len(lo), j)
+        for piece in _intervals(integrand, family, space, *pieces, lo, hi, tol):
             total = total + piece
             if float(np.max(np.abs(piece))) < tol:
                 return total
     raise QuadratureError(f"singular quadrature did not converge on cell {j}", j)
 
 
-def _integrate_cell(integrand, handle, space, j, a, b, tol) -> np.ndarray:
-    """Integral over cell ``j = [a, b]``, which holds declared singular points."""
+def _integrate_cell(integrand, family, space, row, j, a, b, tol) -> np.ndarray:
+    """Integral of member ``row`` over cell ``j = [a, b]``, which holds declared singular points."""
     # a point listed twice (or as both -0.0 and 0.0) is one cut, not a zero-width piece
-    sing = sorted({s for s in handle.singular if a <= s <= b})
+    sing = sorted({s for s in family.singular if a <= s <= b})
     # split at singular points; a piece with a singular end is a tail (s, far)
     # toward it, and one with two singular ends is halved into two tails
     cuts = [a] + [s for s in sing if a < s < b] + [b]
@@ -340,61 +370,86 @@ def _integrate_cell(integrand, handle, space, j, a, b, tol) -> np.ndarray:
             tails.append((lo, hi) if lo in sing else (hi, lo))
     total = 0.0
     for s, far in tails:
-        total = total + _toward_singularity(integrand, handle, space, j, s, far, tol)
+        total = total + _toward_singularity(integrand, family, space, row, j, s, far, tol)
     return total
 
 
-def _integrate(space: Space, handle: FunctionHandle, integrand, tol) -> np.ndarray:
-    """Integral of ``integrand(cells, fx, basis)`` over each cell.
+def _integrate(space: Space, family: _Family, integrand, tol) -> np.ndarray:
+    """Integral of ``integrand(rows, cells, fx, basis)`` over each cell, for each member of ``family``.
 
     ``integrand`` maps the ``(m, P)`` values of ``f`` at the points of m
-    intervals, one row per cell, and the cells' ``(m, P, n)`` basis values
-    there to an ``(m, P, r)`` array; the result has one length-``r`` row per
-    cell, in order.
+    intervals, one row per interval, and the cells' ``(m, P, n)`` basis
+    values there to an ``(m, P, r)`` array; ``rows`` and ``cells`` name each
+    interval's member and cell.  The result is ``(members, ell, r)``.  The
+    cells without a singular point of all members go to the engine in one
+    call; then each cell with one, member by member and in cell order.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be a positive finite number, got {tol!r}")
+    ell = space.n_cells
     a, b = space.grid.nodes[:-1], space.grid.nodes[1:]
-    if not handle.singular:
-        return _intervals(integrand, handle, space, np.arange(space.n_cells), a, b, tol, whole=True)
-    s = np.asarray(handle.singular, dtype=float)
-    holds = ((a[:, None] <= s) & (s <= b[:, None])).any(axis=1)
+    rows, cells = np.divmod(np.arange(family.members * ell), ell)
+    shape = (family.members, ell, -1)
+    if not family.singular:
+        bounds = a[cells], b[cells]
+        return _intervals(integrand, family, space, rows, cells, *bounds, tol, whole=True).reshape(shape)
+    s = np.asarray(family.singular, dtype=float)
+    holds = ((a[cells, None] <= s) & (s <= b[cells, None])).any(axis=1)
     regular, singular = np.flatnonzero(~holds), np.flatnonzero(holds)
     parts = []
     if regular.size:
-        rows = regular, a[regular], b[regular]
-        parts.append(_intervals(integrand, handle, space, *rows, tol, whole=True))
-    for j in singular:
-        parts.append(_integrate_cell(integrand, handle, space, int(j), a[j], b[j], tol)[None])
+        c = cells[regular]
+        parts.append(_intervals(integrand, family, space, rows[regular], c, a[c], b[c], tol, whole=True))
+    for i in singular:
+        j = cells[i]
+        parts.append(_integrate_cell(integrand, family, space, rows[i], int(j), a[j], b[j], tol)[None])
     integrals = np.concatenate(parts)
     out = np.empty_like(integrals)
     out[np.concatenate([regular, singular])] = integrals
-    return out
+    return out.reshape(shape)
 
 
-def _load_vectors(space: Space, handle: FunctionHandle, tol) -> np.ndarray:
-    """Integrals of ``f`` against each basis polynomial of each cell."""
+def _load_vectors(space: Space, family: _Family, tol) -> np.ndarray:
+    """Integrals of each member of ``family`` against each basis polynomial of each cell."""
 
-    def integrand(cells, fx, basis):
+    def integrand(rows, cells, fx, basis):
         return fx[..., None] * basis
 
-    return _integrate(space, handle, integrand, tol)
+    return _integrate(space, family, integrand, tol)
 
 
-def _member_integral(handle: FunctionHandle, u: Ultrafunction, pointwise, tol) -> float:
-    """Sum over cells of the integral of ``pointwise(f(x), u(x))``."""
-    space = u.space
+def _member_integrals(space: Space, family: _Family, blocks, pointwise, tol) -> list[float]:
+    """Per row, the sum over cells of the integral of ``pointwise(f(x), u(x))``.
 
-    def integrand(cells, fx, basis):
+    ``f`` is the row's member of ``family`` and ``u`` the member with the
+    row's blocks of ``blocks`` ``(members, ell, n)``.  Each row's cell
+    integrals are summed as Python floats from ``0.0``, in cell order.
+    """
+
+    def integrand(rows, cells, fx, basis):
         # vecdot over contiguous rows sums each point's dot product in the
         # same order as ``block @ basis_values``
-        ux = np.vecdot(basis, u.blocks[cells][:, None, :])
+        ux = np.vecdot(basis, blocks[rows, cells][:, None, :])
         return pointwise(fx, ux)[..., None]
 
-    total = 0.0
-    for value in _integrate(space, handle, integrand, tol)[:, 0]:
-        total += float(value)
-    return total
+    totals = []
+    for integrals in _integrate(space, family, integrand, tol)[..., 0].tolist():
+        total = 0.0
+        for value in integrals:
+            total += value
+        totals.append(total)
+    return totals
+
+
+def _integrals_against(space: Space, family: _Family, blocks, tol) -> list[float]:
+    """Per row, the integral of ``f(x) * u(x)``; see :func:`_member_integrals`."""
+    return _member_integrals(space, family, blocks, lambda fx, ux: fx * ux, tol)
+
+
+def _l2_errors(space: Space, family: _Family, blocks, tol) -> list[float]:
+    """Per row, the L2 norm of ``f - u``; see :func:`_member_integrals`."""
+    squares = _member_integrals(space, family, blocks, lambda fx, ux: np.square(fx - ux), tol)
+    return [math.sqrt(max(total, 0.0)) for total in squares]
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +463,7 @@ def project(space: Space, f, *, tol: float = DEFAULT_TOL) -> Ultrafunction:
     The result is the best L2 approximation of ``f`` among members, and the
     unique member pairing like ``f`` against every member.
     """
-    return Ultrafunction(space, _load_vectors(space, as_handle(f), tol))
+    return Ultrafunction(space, _load_vectors(space, _family(as_handle(f)), tol)[0])
 
 
 def project_via_basis(pair, f, *, weights: str = "delta", tol: float = DEFAULT_TOL) -> Ultrafunction:
@@ -427,7 +482,7 @@ def project_via_basis(pair, f, *, weights: str = "delta", tol: float = DEFAULT_T
         sources, targets = pair.dual.transpose(0, 2, 1), pair.evals.transpose(0, 2, 1)
     else:
         raise InvalidArgumentError("weights must be 'delta' or 'sigma'")
-    loads = _load_vectors(space, handle, tol)
+    loads = _load_vectors(space, _family(handle), tol)[0]
     blocks = targets @ (sources @ loads[:, :, None])
     return Ultrafunction(space, blocks[:, :, 0])
 
@@ -439,10 +494,9 @@ def integral_against_member(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) ->
     projection path, so it can serve as an oracle for the defining property
     of :func:`project`.
     """
-    return _member_integral(as_handle(f), u, lambda fx, ux: fx * ux, tol)
+    return _integrals_against(u.space, _family(as_handle(f)), u.blocks[None], tol)[0]
 
 
 def l2_error(f, u: Ultrafunction, *, tol: float = DEFAULT_TOL) -> float:
     """L2 norm of ``f - u`` over the support."""
-    total = _member_integral(as_handle(f), u, lambda fx, ux: np.square(fx - ux), tol)
-    return math.sqrt(max(total, 0.0))
+    return _l2_errors(u.space, _family(as_handle(f)), u.blocks[None], tol)[0]

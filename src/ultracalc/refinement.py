@@ -92,8 +92,11 @@ class Ladder:
 
         With a ``target``, errors are distances to it; without one, the
         finest-stage value serves as the reference (and gets no error of its
-        own).  Orders are base-2 logarithms of successive error ratios;
-        stalled or vanishing errors leave the order undefined (``None``).
+        own).  A row's ``order`` is ``log2(error[i - 1] / error[i])``, the
+        base-2 logarithm of successive error ratios; stalled or vanishing
+        errors leave it undefined (``None``).  It is an order in ``h`` only
+        for ``dyadic-split``, which halves every cell; under ``beta-growth``
+        and ``degree-raise`` it is the per-stage error reduction in bits.
         """
         if len(self.stages) < 3:
             raise InsufficientDataError(

@@ -242,35 +242,39 @@ class Space:
         raise InvalidArgumentError(f"no cell on the {side} side of node {j}")
 
     @staticmethod
-    def _product_integral(a, b) -> float:
-        """Integral of the product of two members' blocks ``a`` and ``b`` over their cells.
+    def _product_integral(a, b) -> np.ndarray:
+        """Integrals over the cells of the products of members' blocks ``a`` and ``b`` ``(..., ell, n)``.
 
-        The cell bases are orthonormal, so it is the sum over cells of the
-        blocks' dot products.  A sum that overflows is ``inf``, without a warning.
+        The cell bases are orthonormal, so each is the sum over cells of the
+        blocks' dot products; the result has the leading shape.  A sum that
+        overflows is ``inf``, without a warning.
         """
         with np.errstate(over="ignore"):
-            return float(np.vecdot(a, b).sum())
+            return np.vecdot(a, b).sum(axis=-1)
 
     @staticmethod
+    @np.errstate(over="ignore")
     def _norms(blocks) -> np.ndarray:
         """L2 norms of the members with blocks ``(..., ell, n)``, of the leading shape.
 
         Where only a square overflows, the norm is computed on that member's
         blocks scaled by a power of two: the scaling is exact, so only the
-        overflow is avoided.
+        overflow is avoided; a norm beyond the largest float is ``inf``,
+        without a warning.  One member whose square is finite, the common case,
+        costs two numpy calls.
         """
+        squares = np.add.reduce(np.vecdot(blocks, blocks), -1)
+        if squares.ndim == 0 and squares < math.inf:
+            return math.sqrt(squares)
         stack = blocks.reshape(-1, *blocks.shape[-2:])
-        with np.errstate(over="ignore"):
-            squares = np.vecdot(stack, stack).sum(axis=-1)
-        norms = np.sqrt(squares)
-        redo = ~np.isfinite(squares)
+        norms = np.sqrt(squares).reshape(-1)
+        redo = ~np.isfinite(norms)
         if redo.any():
             redo &= np.isfinite(stack).all(axis=(1, 2))
             big = stack[redo]
             e = np.frexp(np.max(np.abs(big), axis=(1, 2)))[1]
             scaled = np.ldexp(big, -e[:, None, None])
-            with np.errstate(over="ignore"):  # a norm beyond the largest float is inf
-                norms[redo] = np.ldexp(np.sqrt(np.vecdot(scaled, scaled).sum(axis=-1)), e)
+            norms[redo] = np.ldexp(np.sqrt(np.vecdot(scaled, scaled).sum(axis=-1)), e)
         return norms.reshape(blocks.shape[:-2])
 
     def _sample(self, blocks, xs) -> np.ndarray:
@@ -437,7 +441,7 @@ class Ultrafunction:
         sp = self.space
         if other.space is not sp and other.space != sp:
             raise InvalidArgumentError("members belong to different spaces")
-        return sp._product_integral(self.blocks, other.blocks)
+        return float(sp._product_integral(self.blocks, other.blocks))
 
     def norm(self) -> float:
         """L2 norm; where only its square overflows, computed on blocks scaled by a power of two."""

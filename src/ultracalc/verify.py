@@ -13,9 +13,9 @@ import numpy as np
 
 from . import basis as bss
 from . import calculus as calc
-from .errors import InvalidArgumentError
+from . import projection
+from .errors import InvalidArgumentError, QuadratureError
 from .grid import is_count, is_index
-from .projection import FunctionHandle, integral_against_member, l2_error, project
 from .space import Space, Ultrafunction
 
 
@@ -44,14 +44,31 @@ def random_point(space: Space, rng: np.random.Generator) -> float:
     return float(rng.uniform(-beta, beta))
 
 
-def _smooth_handle(rng: np.random.Generator) -> FunctionHandle:
-    a, b, c = rng.uniform(-1.0, 1.0, size=3)
-    k = float(rng.integers(1, 4))
+def _smooth_family(params: np.ndarray) -> projection._Family:
+    """The functions ``a * sin(k * x + b) + c * x * x``, one per row ``(a, b, c, k)`` of ``params``.
 
-    def fn(x):  # one point or a whole array
-        return a * np.sin(k * x + b) + c * x * x
+    Each value is computed element by element in that order, under
+    ``np.errstate``: where one overflows, the quadrature engine's refusal of
+    a value that is not finite is the only report.
+    """
+    a, b, c, k = (column[:, None] for column in params.T)
 
-    return FunctionHandle(fn, array=fn)
+    def values(rows, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a[rows] * np.sin(k[rows] * x + b[rows]) + c[rows] * x * x
+
+    return projection._Family(values, len(params))
+
+
+def _combination(al, f, be, g) -> projection._Family:
+    """The functions ``al * f + be * g``, row by row, computed like :func:`_smooth_family`."""
+
+    def values(rows, x):
+        fx, gx = f.values(rows, x), g.values(rows, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return al[rows] * fx + be[rows] * gx
+
+    return projection._Family(values, f.members)
 
 
 #: most floats in one ``(trials, ell, n)`` array of a stack of trials; a space
@@ -131,27 +148,56 @@ def _suite_sigma(space, trials, rng):
 
 
 def _suite_projection(space, trials, rng):
+    shape = (space.n_cells, space.block_size)
+
+    def draw():
+        f = (*rng.uniform(-1.0, 1.0, size=3), float(rng.integers(1, 4)))
+        g = (*rng.uniform(-1.0, 1.0, size=3), float(rng.integers(1, 4)))
+        v = rng.standard_normal(shape)
+        weights = rng.uniform(-2.0, 2.0, size=2)
+        return f, g, v, weights, rng.standard_normal(shape)
+
     duality = linearity = best = 0.0
-    for _ in range(trials):
-        f = _smooth_handle(rng)
-        g = _smooth_handle(rng)
-        v = random_member(space, rng)
-        v = v * (1.0 / (1.0 + v.norm()))
-        pf = project(space, f)
-        duality = max(duality, abs(pf.inner(v) - integral_against_member(f, v)))
-        al, be = rng.uniform(-2.0, 2.0, size=2)
-        combo = project(space, FunctionHandle(
-            lambda x: al * f(x) + be * g(x), array=lambda x: al * f.array(x) + be * g.array(x)
-        ))
-        direct = al * pf + be * project(space, g)
-        linearity = max(linearity, float(np.max(np.abs(combo.blocks - direct.blocks))))
-        competitor = pf + random_member(space, rng, scale=0.3)
-        best = max(best, l2_error(f, pf) - l2_error(f, competitor))
+    for stack in _stacks(space, trials, draw):
+        try:
+            defects = list(_projection_defects(space, *stack))
+        except (InvalidArgumentError, QuadratureError):
+            if len(stack[0]) == 1:
+                raise
+            # again one trial at a time: the first failing trial raises its own error
+            defects = []
+            for trial in zip(*stack):
+                defects.extend(_projection_defects(space, *(field[None] for field in trial)))
+        for d, lin, b in defects:
+            duality, linearity, best = max(duality, d), max(linearity, lin), max(best, b)
     return [
         CheckResult("projection", "defining-property", trials, duality, 1e-10),
         CheckResult("projection", "linearity", trials, linearity, 1e-10),
         CheckResult("projection", "best-approximation", trials, max(best, 0.0), 1e-10),
     ]
+
+
+def _projection_defects(space, f, g, v, weights, noise):
+    """Each trial's defining-property, linearity and best-approximation defects, as Python floats.
+
+    ``f`` and ``g`` hold the trials' smooth functions, ``v`` the blocks of
+    the members paired with ``Pf`` and ``noise`` the competitors' offsets
+    from ``Pf`` before their scaling by 0.3.  Each of the six integrals runs
+    once for the whole stack.
+    """
+    tol = projection.DEFAULT_TOL
+    f, g = _smooth_family(f), _smooth_family(g)
+    al, be = weights[:, 0, None], weights[:, 1, None]
+    v = v * (1.0 / (1.0 + space._norms(v)))[:, None, None]
+    pf = projection._load_vectors(space, f, tol)
+    duality = np.abs(space._product_integral(pf, v) - projection._integrals_against(space, f, v, tol))
+    combo = projection._load_vectors(space, _combination(al, f, be, g), tol)
+    pg = projection._load_vectors(space, g, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        linearity = np.max(np.abs(combo - (al[:, None] * pf + be[:, None] * pg)), axis=(-2, -1))
+        competitor = pf + 0.3 * noise
+    best = np.subtract(*(projection._l2_errors(space, f, u, tol) for u in (pf, competitor)))
+    return zip(duality.tolist(), linearity.tolist(), best.tolist())
 
 
 def _suite_ibp(space, trials, rng):

@@ -35,14 +35,14 @@ def tag_lists(draw, bound: float = 0.99):
 
 
 @st.composite
-def grids(draw):
+def grids(draw, max_beta: float = 1e12):
     """Tagged grids on ``[-beta, beta]``, then up to three dyadic splits.
 
-    ``beta`` is log-uniform in ``[1e-12, 1e12]`` and the base grid has up to
-    ``64 >> levels`` fill cells.  A draw the constructor refuses is checked
+    ``beta`` is log-uniform in ``[1e-12, max_beta]`` and the base grid has up
+    to ``64 >> levels`` fill cells.  A draw the constructor refuses is checked
     to hold a cell within the snap windows before it is rejected.
     """
-    beta = 10.0 ** draw(st.floats(-12.0, 12.0))
+    beta = 10.0 ** draw(st.floats(-12.0, math.log10(max_beta)))
     tags = [beta * t for t in draw(tag_lists())]
     levels = draw(st.integers(0, 3))
     fill = 2.0 * beta / draw(st.integers(1, 64 >> levels))

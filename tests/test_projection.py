@@ -22,7 +22,9 @@ from ultracalc import (
     project_via_basis,
 )
 from ultracalc import projection
-from ultracalc.projection import _accepted, _gauss_kronrod, _intervals
+from ultracalc.projection import _accepted, _family, _gauss_kronrod, _intervals
+
+from strategies import grids
 
 
 @pytest.fixture
@@ -461,9 +463,9 @@ def test_singular_tail_call_count():
 def test_each_singular_tail_is_one_engine_call(monkeypatch, ell, tol, singular, engine_calls, fails):
     real, seen = projection._intervals, []
 
-    def spying(integrand, handle, space, cells, *args, **kwargs):
+    def spying(integrand, family, space, rows, cells, *args, **kwargs):
         seen.append(cells)
-        return real(integrand, handle, space, cells, *args, **kwargs)
+        return real(integrand, family, space, rows, cells, *args, **kwargs)
 
     monkeypatch.setattr(projection, "_intervals", spying)
     h = FunctionHandle(lambda x: sum(abs(x - s) ** -0.5 for s in singular), singular)
@@ -504,7 +506,8 @@ def test_engine_names_the_lowest_of_several_failing_cells():
     sp = Space(Grid.uniform(1e4, 4), 1)
     lo, hi = np.array([-3000.0, -3000.0]), np.array([2000.0, 2000.0])
     with pytest.raises(QuadratureError) as err:
-        _intervals(lambda cells, fx, basis: fx[..., None], h, sp, np.array([1, 3]), lo, hi, 1e-6)
+        rows, cells = np.zeros(2, int), np.array([1, 3])
+        _intervals(lambda *args: args[2][..., None], _family(h), sp, rows, cells, lo, hi, 1e-6)
     assert err.value.cell_index == 1
 
 
@@ -512,12 +515,12 @@ def _spy_integrands(monkeypatch, check):
     """Run ``check(cells, fx, basis)`` on every integrand call the engine makes."""
     real = projection._integrate
 
-    def spying(space, handle, integrand, tol):
-        def spy(cells, fx, basis):
+    def spying(space, family, integrand, tol):
+        def spy(rows, cells, fx, basis):
             check(cells, fx, basis)
-            return integrand(cells, fx, basis)
+            return integrand(rows, cells, fx, basis)
 
-        return real(space, handle, spy, tol)
+        return real(space, family, spy, tol)
 
     monkeypatch.setattr(projection, "_integrate", spying)
 
@@ -869,3 +872,50 @@ def test_a_repeated_singular_point_is_one_cut(ell, once, twice):
     u = project(sp, FunctionHandle(f, once), tol=1e-6)
     v = project(sp, FunctionHandle(f, twice), tol=1e-6)
     np.testing.assert_array_equal(u.blocks.view(np.int64), v.blocks.view(np.int64))
+
+
+def _bits(values) -> tuple:
+    a = np.asarray(values, dtype=float)
+    return a.tobytes(), np.signbit(a).tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(grid=grids(max_beta=10.0), p=st.integers(0, 6), members=st.integers(1, 5),
+       kink=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_many_member_engine_calls_are_one_member_calls_bit_for_bit(grid, p, members, kink, seed):
+    # each row's integrals are those of its member alone: smooth members, or
+    # members with a declared kink, which take the singular tails per member
+    sp = Space(grid, p)
+    rng = np.random.default_rng(seed)
+    # the kink sits on a node or a cell's midpoint: a point a few ulps off a
+    # node leaves a piece too narrow to split, which one member refuses too
+    j = int(rng.integers(grid.n_cells))
+    s = float(grid.nodes[j]) if rng.random() < 0.5 else 0.5 * float(grid.nodes[j] + grid.nodes[j + 1])
+    tol = 1e-9
+
+    def member(a, b, c, k):
+        def fn(x):
+            return a * np.sin(k * x + b) + c * (np.sqrt(np.abs(x - s)) if kink else x * x)
+
+        return FunctionHandle(fn, (s,) if kink else (), array=fn)
+
+    params = rng.uniform(-1.0, 1.0, size=(members, 3))
+    handles = [member(a, b, c, float(k)) for (a, b, c), k in zip(params, rng.integers(1, 4, members))]
+
+    def values(rows, x):
+        out = np.empty_like(x)
+        for r, h in enumerate(handles):
+            out[rows == r] = h.array(x[rows == r])
+        return out
+
+    family = projection._Family(values, members, handles[0].singular)
+    blocks = rng.standard_normal((members, sp.n_cells, sp.block_size))
+    us = [Ultrafunction(sp, b) for b in blocks]
+    loads = projection._load_vectors(sp, family, tol)
+    assert _bits(loads) == _bits([project(sp, h, tol=tol).blocks for h in handles])
+    assert _bits(projection._integrals_against(sp, family, blocks, tol)) == _bits(
+        [integral_against_member(h, u, tol=tol) for h, u in zip(handles, us)]
+    )
+    assert _bits(projection._l2_errors(sp, family, blocks, tol)) == _bits(
+        [l2_error(h, u, tol=tol) for h, u in zip(handles, us)]
+    )
