@@ -13,11 +13,9 @@ grid grows.
 
 from .basis import (
     BasisPair,
-    DeltaKind,
     basis_pair,
     default_interpolation_points,
     delta,
-    delta_kind,
     delta_sided,
 )
 from .calculus import (
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisPair",
-    "DeltaKind",
     "DerivOperator",
     "DistributionSpec",
     "FunctionHandle",
@@ -78,7 +75,6 @@ __all__ = [
     "basis_pair",
     "default_interpolation_points",
     "delta",
-    "delta_kind",
     "delta_sided",
     "derivative_operator",
     "embed",

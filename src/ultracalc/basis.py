@@ -21,7 +21,6 @@ Gauss abscissae) are refused on cells too narrow for the nodes' snap windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -30,32 +29,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import IndependenceError, InvalidArgumentError
 from .grid import PointKind, is_index
 from .space import Side, Space, Ultrafunction, _CellLocal
-
-
-class DeltaKind(Enum):
-    INTERIOR = "interior"
-    NODE_AVERAGE = "node-average"
-    NODE_PLUS = "node-plus"
-    NODE_MINUS = "node-minus"
-    ENDPOINT_LEFT = "endpoint-left"
-    ENDPOINT_RIGHT = "endpoint-right"
-
-
-def delta_kind(space: Space, q: float, side: Side | None = None) -> DeltaKind:
-    """Classify the delta member centered at ``q`` (optionally one-sided)."""
-    kind, j = space.grid._find(q)
-    if kind is PointKind.OUTSIDE:
-        raise InvalidArgumentError(f"center {q!r} lies outside the support")
-    if kind is PointKind.INTERIOR:
-        if side is not None:
-            raise InvalidArgumentError("one-sided deltas exist at nodes only")
-        return DeltaKind.INTERIOR
-    _, terms = space.node_terms(j, side)  # refuses a side with no cell
-    if side is not None:
-        return DeltaKind.NODE_PLUS if side == "plus" else DeltaKind.NODE_MINUS
-    if len(terms) == 2:
-        return DeltaKind.NODE_AVERAGE
-    return DeltaKind.ENDPOINT_LEFT if j == 0 else DeltaKind.ENDPOINT_RIGHT
 
 
 def delta(space: Space, q: float) -> Ultrafunction:

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -103,25 +103,25 @@ class FunctionHandle:
 
     ``array`` is the same function on a whole float array, element by element
     equal to ``fn``; quadrature calls only it, once per batch of points.  It
-    defaults to ``fn.array`` when ``fn`` has one, as the functions from
-    :func:`~ultracalc.expr.parse_expression` do, and otherwise to an adapter
-    that calls ``fn`` on one Python float at a time, so it is never ``None``.
-    ``fn`` then raises Python's own errors where numpy scalars would give inf
-    or NaN: ``ZeroDivisionError``, ``OverflowError``, or ``TypeError`` for a
-    complex value.  Quadrature refuses any value of ``array`` that is not
-    finite, ``None`` from ``fn`` included, with ``InvalidArgumentError``.
+    is derived, not passed: ``fn.array`` when ``fn`` has one, as the functions
+    from :func:`~ultracalc.expr.parse_expression` do, and otherwise an adapter
+    that calls ``fn`` on one Python float at a time.  ``fn`` then raises
+    Python's own errors where numpy scalars would give inf or NaN:
+    ``ZeroDivisionError``, ``OverflowError``, or ``TypeError`` for a complex
+    value.  Quadrature refuses any value of ``array`` that is not finite,
+    ``None`` from ``fn`` included, with ``InvalidArgumentError``.  Handles
+    compare by ``fn`` and ``singular`` alone.
     """
 
     fn: Callable[[float], float]
     singular: tuple[float, ...] = ()
-    array: Callable[[np.ndarray], np.ndarray] | None = None
+    array: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(math.isfinite(s) for s in self.singular):
             raise InvalidArgumentError(f"singular points must be finite, got {self.singular!r}")
-        if self.array is None:
-            array = getattr(self.fn, "array", None)
-            object.__setattr__(self, "array", _per_point(self.fn) if array is None else array)
+        array = getattr(self.fn, "array", None)
+        object.__setattr__(self, "array", _per_point(self.fn) if array is None else array)
 
     def __call__(self, x: float) -> float:
         return float(self.fn(x))

@@ -24,11 +24,14 @@ a node averages the limits that exist: ``0.5 * (minus + plus)`` inside, the
 one-sided limit at ``-beta`` and ``beta``.  :meth:`Space.node_terms` states
 this rule once for node values, side limits, jumps and node deltas;
 :meth:`Space.edges`, ``D`` and :meth:`Ultrafunction.sample` read the edge
-rows of all cells at once.  The one-point paths (:meth:`Space.basis_values`,
-``u(x)``, node values) run the recurrence on Python floats and the
-``DOUBLE_dot`` products of the array paths, so their values match
-:meth:`Space.cell_basis_values` and :meth:`Ultrafunction.sample` bit for
-bit.
+rows of all cells at once.  Two array copies restate the rule over many
+nodes or members, the node branch of ``Space._sample`` and
+``calculus._node_values``; ``tests/test_node_rule.py`` holds both to the
+rule's reference formulas bit for bit.  The one-point paths
+(:meth:`Space.basis_values`, ``u(x)``, node values) run the recurrence on
+Python floats and the ``DOUBLE_dot`` products of the array paths, so their
+values match :meth:`Space.cell_basis_values` and
+:meth:`Ultrafunction.sample` bit for bit.
 
 Inner products and integrals need no quadrature.  Each cell's Gram matrix
 is exactly the identity, so the inner product of two members is the sum over

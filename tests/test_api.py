@@ -12,19 +12,19 @@ SCRIPT = """
 import json
 
 import ultracalc
-from ultracalc import projection
+from ultracalc import basis, projection
 
 names = ultracalc.__all__
 scope = {}
 exec("from ultracalc import *", scope)
 del scope["__builtins__"]
-removed = ("compare_ae", "locality_residual", "AE_COEFF_TOL")
+removed = ("compare_ae", "locality_residual", "AE_COEFF_TOL", "delta_kind", "DeltaKind")
 print(json.dumps({
     "unresolved": [n for n in names if not hasattr(ultracalc, n)],
     "duplicates": sorted({n for n in names if names.count(n) > 1}),
     "star_not_all": sorted(set(scope) ^ set(names)),
     "removed_present": [
-        f"{m.__name__}.{n}" for m in (ultracalc, projection) for n in removed if hasattr(m, n)
+        f"{m.__name__}.{n}" for m in (ultracalc, projection, basis) for n in removed if hasattr(m, n)
     ],
 }))
 """

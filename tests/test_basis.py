@@ -6,7 +6,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ultracalc import (
-    DeltaKind,
     Grid,
     IndependenceError,
     InvalidArgumentError,
@@ -15,7 +14,6 @@ from ultracalc import (
     basis_pair,
     default_interpolation_points,
     delta,
-    delta_kind,
     delta_sided,
     parse_expression,
     project_via_basis,
@@ -78,15 +76,6 @@ def test_delta_norm_squared_is_center_value(space):
 def test_delta_outside_support_rejected(space):
     with pytest.raises(InvalidArgumentError):
         delta(space, 1.7)
-
-
-def test_delta_kinds(space):
-    assert delta_kind(space, 0.3) is DeltaKind.INTERIOR
-    assert delta_kind(space, 0.5) is DeltaKind.NODE_AVERAGE
-    assert delta_kind(space, -1.0) is DeltaKind.ENDPOINT_LEFT
-    assert delta_kind(space, 1.0) is DeltaKind.ENDPOINT_RIGHT
-    assert delta_kind(space, 0.5, "plus") is DeltaKind.NODE_PLUS
-    assert delta_kind(space, 0.5, "minus") is DeltaKind.NODE_MINUS
 
 
 def test_sided_deltas_reproduce_one_sided_limits(space):

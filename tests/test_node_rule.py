@@ -16,16 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultracalc import (
-    DeltaKind,
     Grid,
     InvalidArgumentError,
     Space,
     Ultrafunction,
     delta,
-    delta_kind,
     delta_sided,
     derivative_operator,
 )
+from ultracalc.calculus import _node_values
 
 from strategies import grids
 
@@ -71,18 +70,6 @@ def reference_delta(space: Space, j: int, side: str | None) -> np.ndarray:
     return blocks
 
 
-def reference_kind(space: Space, j: int, side: str | None) -> DeltaKind:
-    if side == "plus":
-        return DeltaKind.NODE_PLUS
-    if side == "minus":
-        return DeltaKind.NODE_MINUS
-    if j == 0:
-        return DeltaKind.ENDPOINT_LEFT
-    if j == space.n_cells:
-        return DeltaKind.ENDPOINT_RIGHT
-    return DeltaKind.NODE_AVERAGE
-
-
 def reference_edges(space: Space, blocks: np.ndarray):
     scales = space._scales[:, None]
     return (
@@ -117,10 +104,8 @@ def test_node_rule_paths_match_the_references(grid, degree, seed):
         assert bits(u.node_value(j)) == bits(reference_node_value(u, j))
         q = float(grid.nodes[j])
         np.testing.assert_array_equal(bits(delta(space, q).blocks), bits(reference_delta(space, j, None)))
-        assert delta_kind(space, q) is reference_kind(space, j, None)
         sides = (["plus"] if j < ell else []) + (["minus"] if j > 0 else [])
         for side in sides:
-            assert delta_kind(space, q, side) is reference_kind(space, j, side)
             assert bits(u.side_value(j, side)) == bits(reference_side_value(u, j, side))
             np.testing.assert_array_equal(
                 bits(delta_sided(space, j, side).blocks), bits(reference_delta(space, j, side))
@@ -128,6 +113,15 @@ def test_node_rule_paths_match_the_references(grid, degree, seed):
         if 0 < j < ell:
             ref_jump = reference_side_value(u, j, "plus") - reference_side_value(u, j, "minus")
             assert bits(u.jump(j)) == bits(ref_jump)
+    # the rule's two array copies: calculus._node_values and the node branch of sample
+    ref_nodes = np.array([reference_node_value(u, j) for j in range(ell + 1)])
+    each = [_node_values(space, u.blocks, j) for j in range(ell + 1)]
+    np.testing.assert_array_equal(bits(each), bits(ref_nodes))
+    np.testing.assert_array_equal(bits(u.sample(grid.nodes)), bits(ref_nodes))
+    order = rng.permutation(ell + 1)  # one node per member of a stack
+    stack = rng.standard_normal((ell + 1, ell, space.block_size))
+    ref_stack = [reference_node_value(Ultrafunction(space, b), j) for b, j in zip(stack, order)]
+    np.testing.assert_array_equal(bits(_node_values(space, stack, order)), bits(ref_stack))
     for got, ref in zip(space.edges(u.blocks), reference_edges(space, u.blocks)):
         np.testing.assert_array_equal(bits(got), bits(ref))
     for kind in ("D", "D2"):
@@ -185,9 +179,3 @@ def test_side_must_be_plus_or_minus(side):
         space.constant(1.0).side_value(2, side)
     with pytest.raises(InvalidArgumentError, match="side must be"):
         delta_sided(space, 2, side)
-
-
-def test_delta_kind_refuses_an_unknown_side_at_a_node():
-    # it used to fall through to the node-average kind
-    with pytest.raises(InvalidArgumentError, match="side must be"):
-        delta_kind(Space(Grid.uniform(1.0, 4), 2), 0.5, "up")

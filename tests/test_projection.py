@@ -129,13 +129,24 @@ def test_singular_projection_matches_function_away_from_singularity():
     assert u(0.7) == pytest.approx(0.7**-0.5, rel=1e-3)
 
 
+def _with_array(fn, array):
+    """``fn`` with the array form ``array``, which a handle takes as its ``array``."""
+
+    def call(x):
+        return fn(x)
+
+    call.array = array
+    return call
+
+
 def _array_only(array):
     """A handle whose per-point form must never be called."""
 
     def per_point(x):
         raise AssertionError("called point by point")
 
-    return FunctionHandle(per_point, array=array)
+    per_point.array = array
+    return FunctionHandle(per_point)
 
 
 def test_projection_depends_only_on_local_data(space):
@@ -539,7 +550,7 @@ def test_integrand_and_basis_arrays_span_at_most_one_chunk(monkeypatch, op):
         assert fx.shape == (len(cells), 15) and basis.shape == (len(cells), 15, 7)
 
     _spy_integrands(monkeypatch, check)
-    handle = FunctionHandle(math.sin, array=sin)
+    handle = FunctionHandle(_with_array(math.sin, sin))
     if op == "project":
         project(sp, handle)
     else:
@@ -564,7 +575,7 @@ def test_first_level_basis_is_the_scaled_reference_table(monkeypatch, p):
         seen.extend(cells.tolist())
 
     _spy_integrands(monkeypatch, check)
-    project(sp, FunctionHandle(math.sin, array=np.sin))
+    project(sp, FunctionHandle(_with_array(math.sin, np.sin)))
     assert seen == list(range(sp.n_cells))
 
 
@@ -774,7 +785,7 @@ def _plain_callables(draw):
 def test_python_float_adapter_is_bit_identical_to_numpy_scalars(f, p, ell, tagged, seed):
     grid = _tagged_grid(ell, seed) if tagged and ell > 1 else Grid.uniform(1.0, ell)
     sp = Space(grid, p)
-    old = FunctionHandle(f, array=_numpy_scalar_adapter(f))
+    old = FunctionHandle(_with_array(f, _numpy_scalar_adapter(f)))
     v = random_member(sp, np.random.default_rng(seed))
     assert np.array_equal(project(sp, f).blocks, project(sp, old).blocks)
     assert l2_error(f, v) == l2_error(old, v)
@@ -788,6 +799,18 @@ def test_array_form_of_fn_is_used_without_building_the_adapter(monkeypatch):
     monkeypatch.setattr(projection, "_per_point", refuse)
     expr = parse_expression("sin(x)")
     assert FunctionHandle(expr).array == expr.array
+
+
+def test_handles_of_one_function_are_equal_and_array_is_derived():
+    assert FunctionHandle(math.sin) == FunctionHandle(math.sin)
+    assert hash(FunctionHandle(math.sin, (0.5,))) == hash(FunctionHandle(math.sin, (0.5,)))
+    assert FunctionHandle(math.sin) != FunctionHandle(math.sin, (0.5,))
+    assert FunctionHandle(math.sin) != FunctionHandle(math.cos)
+    assert "array" not in repr(FunctionHandle(math.sin))
+    with pytest.raises(TypeError):
+        FunctionHandle(math.sin, (), np.sin)
+    with pytest.raises(TypeError):
+        FunctionHandle(math.sin, array=np.sin)
 
 
 _OPERATIONS = {
@@ -834,7 +857,7 @@ def test_overflowing_integrand_is_refused_in_the_first_pass(operation, value):
 
 
 def test_non_finite_array_form_is_refused():
-    h = FunctionHandle(math.exp, array=lambda x: np.where(x < -0.9, -np.inf, np.exp(x)))
+    h = FunctionHandle(_with_array(math.exp, lambda x: np.where(x < -0.9, -np.inf, np.exp(x))))
     with pytest.raises(InvalidArgumentError, match=r"value -inf at x = -0\.9\d* in cell 0 "):
         project(Space(Grid.uniform(1.0, 8), 2), h)
 
@@ -897,7 +920,8 @@ def test_many_member_engine_calls_are_one_member_calls_bit_for_bit(grid, p, memb
         def fn(x):
             return a * np.sin(k * x + b) + c * (np.sqrt(np.abs(x - s)) if kink else x * x)
 
-        return FunctionHandle(fn, (s,) if kink else (), array=fn)
+        fn.array = fn
+        return FunctionHandle(fn, (s,) if kink else ())
 
     params = rng.uniform(-1.0, 1.0, size=(members, 3))
     handles = [member(a, b, c, float(k)) for (a, b, c), k in zip(params, rng.integers(1, 4, members))]

@@ -62,7 +62,8 @@ def smooth_handle(rng):
     def fn(x):  # one point or a whole array
         return a * np.sin(k * x + b) + c * x * x
 
-    return FunctionHandle(fn, array=fn)
+    fn.array = fn
+    return FunctionHandle(fn)
 
 
 def per_trial_projection(space, trials, rng):
@@ -75,9 +76,12 @@ def per_trial_projection(space, trials, rng):
         pf = project(space, f)
         duality = max(duality, abs(pf.inner(v) - integral_against_member(f, v)))
         al, be = rng.uniform(-2.0, 2.0, size=2)
-        combo = project(space, FunctionHandle(
-            lambda x: al * f(x) + be * g(x), array=lambda x: al * f.array(x) + be * g.array(x)
-        ))
+
+        def combo_fn(x):
+            return al * f(x) + be * g(x)
+
+        combo_fn.array = lambda x: al * f.array(x) + be * g.array(x)
+        combo = project(space, FunctionHandle(combo_fn))
         direct = al * pf + be * project(space, g)
         linearity = max(linearity, float(np.max(np.abs(combo.blocks - direct.blocks))))
         competitor = pf + random_member(space, rng, scale=0.3)
